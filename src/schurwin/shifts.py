@@ -20,6 +20,7 @@ from math import comb
 
 from .partitions import Context, GeneratorLabel, Partition, ShapeError, canonicalize
 from .staircase import base_from_top, staircase_diagrams
+from .symfunc import _bareiss
 from .windows import enumerate_window, in_window
 
 
@@ -221,7 +222,8 @@ class KMatrix:
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == mid for row in a)
+    if not all(len(row) == mid for row in a):
+        raise ShapeError(f"left factor has a row whose length is not {mid}")
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(m))
         for i in range(n)
@@ -230,24 +232,7 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 
 def int_determinant(rows) -> int:
     """Exact integer determinant by the Bareiss fraction-free elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss([[int(x) for x in row] for row in rows])
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:

@@ -1,15 +1,16 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
 Products are computed by the Littlewood-Richardson tableau rule (exact integer
-coefficients, no floating point anywhere). Evaluation goes through the
-Jacobi-Trudi determinant over `fractions.Fraction`, which stays well defined
-at points with repeated coordinates; the bialternant ratio is never used.
+coefficients, no floating point anywhere). Evaluation clears denominators and
+takes the Jacobi-Trudi determinant over the integers by Bareiss elimination;
+Jacobi-Trudi stays well defined at points with repeated coordinates, and the
+bialternant ratio is never used. Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .partitions import Partition, ShapeError, check_weight
 
@@ -213,67 +214,59 @@ def tensor_gl(r: int, u, v, extra_shift: int = 0) -> SchurExpansion:
     return SchurExpansion(shifted, rank=r)
 
 
-# evaluation caches keyed by the point; entries are built fully and then
-# published, never mutated afterwards, so concurrent readers stay safe
-_H_CACHE: dict[tuple[Fraction, ...], list[Fraction]] = {}
-_E_CACHE: dict[tuple[Fraction, ...], list[Fraction]] = {}
+def _bareiss(a: list[list[int]]) -> int:
+    """Integer determinant by Bareiss's fraction-free elimination.
+
+    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
+    integers throughout. Eliminates in place: `a` is consumed.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
-def _h_values(xs: tuple[Fraction, ...], max_m: int) -> list[Fraction]:
-    hs = _H_CACHE.get(xs)
-    if hs is None or len(hs) <= max_m:
-        hs = [Fraction(1)] + [Fraction(0)] * max_m
-        for x in xs:
-            for m in range(1, max_m + 1):
-                hs[m] += x * hs[m - 1]
-        _H_CACHE[xs] = hs
-    return hs
+def _cleared(xs) -> tuple[list[int], int]:
+    """Integers b and a common denominator q with xs = b / q."""
+    q = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
 
 
 def elementary_at(point, s: int) -> Fraction:
     """Exact value of the elementary symmetric polynomial e_s at the point."""
-    xs = tuple(Fraction(x) for x in point)
-    if s < 0 or s > len(xs):
+    bs, q = _cleared([Fraction(x) for x in point])
+    if s < 0 or s > len(bs):
         return Fraction(0)
-    es = _E_CACHE.get(xs)
-    if es is None:
-        es = [Fraction(1)] + [Fraction(0)] * len(xs)
-        for x in xs:
-            for m in range(len(xs), 0, -1):
-                es[m] += x * es[m - 1]
-        _E_CACHE[xs] = es
-    return es[s]
-
-
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return det
+    es = [1] + [0] * s
+    for b in bs:
+        for m in range(s, 0, -1):
+            es[m] += b * es[m - 1]
+    return Fraction(es[s], q**s)
 
 
 def schur_at(w, point) -> Fraction:
     """Evaluate the Schur function of a dominant weight at exact rationals.
 
     Negative weights factor through a power of x_1*...*x_n (all coordinates
-    must then be nonzero); the partition piece goes through Jacobi-Trudi, so
-    repeated coordinates are fine.
+    must then be nonzero). The partition piece is homogeneous, so with the
+    point written as b / q over integers, s_lam(b / q) = s_lam(b) / q^|lam|,
+    and s_lam(b) is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b)
+    taken over the integers. Jacobi-Trudi keeps repeated coordinates safe.
     """
-    xs = tuple(Fraction(x) for x in point)
+    xs = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
     w = _strip(check_weight(w))
     n = len(xs)
     if len(w) > n:
@@ -291,15 +284,19 @@ def schur_at(w, point) -> Fraction:
     ell = len(lam)
     if ell == 0:
         return Fraction(1)
-    hs = _h_values(xs, lam[0] + ell)
+    if lam[-1] < 0:  # a negative part before a padded zero: last row empty
+        return Fraction(0)
+    bs, q = _cleared(xs)
+    top = lam[0] + ell - 1
+    hs = [1] + [0] * top
+    for b in bs:
+        for m in range(1, top + 1):
+            hs[m] += b * hs[m - 1]
     mat = [
-        [
-            hs[lam[i] + j - i] if lam[i] + j - i >= 0 else Fraction(0)
-            for j in range(ell)
-        ]
+        [hs[lam[i] + j - i] if lam[i] + j - i >= 0 else 0 for j in range(ell)]
         for i in range(ell)
     ]
-    return _fraction_det(mat)
+    return Fraction(_bareiss(mat), q ** sum(lam))
 
 
 def evaluate(e: SchurExpansion, point) -> Fraction:
@@ -322,7 +319,8 @@ def dimension_gl(w, n: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     q, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"Weyl dimension of {list(w)} is not an integer")
     return q
 
 

@@ -67,17 +67,29 @@ def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
-def _localization_counterexample(ctx, base, steps, points):
+def _localization_counterexample(ctx, base, steps, points, memo=None):
+    """First fixed point where the alternating sum is nonzero, or None.
+
+    `memo` maps (point index, fixed subset, padded diagram) to a Schur value;
+    calls that share one must pass the same `points`.
+    """
     r, d = ctx.r, ctx.d
-    for t in points:
+    memo = {} if memo is None else memo
+    diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
+    wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
+    for p, t in enumerate(points):
         es = [elementary_at(t, s) for s in range(d + 1)]
+        coeffs = [(-1) ** n * es[s] for n, s in enumerate(wedges)]
+        inverse = [Fraction(1) / x for x in t]
         for fixed in combinations(range(d), r):
-            y = tuple(Fraction(1) / t[i] for i in fixed)
-            total = schur_at(base.pad(r), y)
-            sign = -1
-            for st in steps:
-                total += sign * schur_at(st.delta.pad(r), y) * es[st.s]
-                sign = -sign
+            y = tuple(inverse[i] for i in fixed)
+            total = Fraction(0)
+            for mu, c in zip(diagrams, coeffs):
+                key = (p, fixed, mu)
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = schur_at(mu, y)
+                total += value * c
             if total != 0:
                 return {
                     "delta": list(base.parts),
@@ -89,9 +101,9 @@ def _localization_counterexample(ctx, base, steps, points):
     return None
 
 
-def localization_holds(ctx, base, steps, points) -> bool:
+def localization_holds(ctx, base, steps, points, memo=None) -> bool:
     """Fixed-point identity for explicitly given staircase terms."""
-    return _localization_counterexample(ctx, base, steps, points) is None
+    return _localization_counterexample(ctx, base, steps, points, memo) is None
 
 
 def verify_localization(
@@ -110,9 +122,10 @@ def verify_localization(
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
     counterexample = None
+    memo: dict = {}
     for base in bases:
         steps = staircase_diagrams(ctx, base).steps
-        counterexample = _localization_counterexample(ctx, base, steps, points)
+        counterexample = _localization_counterexample(ctx, base, steps, points, memo)
         if counterexample:
             break
     passed = counterexample is None
@@ -170,11 +183,12 @@ def localization_mutation_sweep(
     points = [sample_point(rng, ctx.d) for _ in range(3)]
     bases = admissible_bases(ctx)
     survivors = []
+    memo: dict = {}
     for n in range(mutations):
         base = bases[rng.randrange(len(bases))]
         steps = staircase_diagrams(ctx, base).steps
         mutated = mutate_steps(rng, ctx, steps)
-        if localization_holds(ctx, base, mutated, points):
+        if localization_holds(ctx, base, mutated, points, memo):
             survivors.append(
                 {
                     "mutation": n,

@@ -7,6 +7,7 @@ from math import comb
 from .partitions import (
     Context,
     GeneratorLabel,
+    ShapeError,
     box_partitions,
     canonicalize,
     graded_lex_key,
@@ -24,7 +25,8 @@ def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
         for p in box_partitions(ctx.box_rows, ctx.box_cols)
     ]
     labels.sort(key=lambda g: graded_lex_key(g.weight(ctx.r)))
-    assert len(labels) == comb(ctx.d, ctx.r)
+    if len(labels) != comb(ctx.d, ctx.r):
+        raise ShapeError(f"W_{k} has {len(labels)} generators, not C({ctx.d}, {ctx.r})")
     return labels
 
 

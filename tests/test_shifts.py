@@ -1,9 +1,13 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from schurwin.partitions import Context, GeneratorLabel, ShapeError, canonicalize
 from schurwin.shifts import (
     Term,
     TermComplex,
+    _mat_mul,
     cotwist_shift_amount,
     general_shift,
     int_determinant,
@@ -142,18 +146,32 @@ def test_int_determinant():
     assert int_determinant(()) == 1
 
 
-def test_int_determinant_matches_fraction_elimination():
-    import random
-    from fractions import Fraction
+def leibniz_determinant(rows):
+    """Sum over permutations of signed products: independent of elimination."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
-    from schurwin.symfunc import _fraction_det
 
+def test_int_determinant_matches_leibniz_expansion():
     rng = random.Random(23)
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        expect = _fraction_det([[Fraction(x) for x in row] for row in rows])
-        assert int_determinant(rows) == expect
+        assert int_determinant(rows) == leibniz_determinant(rows)
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        _mat_mul(((1, 2), (3, 4)), ((1, 0, 0),))
 
 
 def test_general_shift_identity_and_single_step():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,11 +281,81 @@ def test_elementary_at_matches_schur_column():
     assert elementary_at(xs, 4) == 0
 
 
+def monomial_value(monomials, point):
+    total = Fraction(0)
+    for expo, c in monomials.items():
+        term = Fraction(c)
+        for x, e in zip(point, expo):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
+def bialternant_value(w, point):
+    """Weyl's ratio det(x_i^(w_j + n - j)) / det(x_i^(n - j)), by permutations.
+
+    Only valid at distinct nonzero coordinates; used here as an oracle for
+    negative weights, never by the library.
+    """
+    n = len(point)
+
+    def det(exponents):
+        total = Fraction(0)
+        for perm in permutations(range(n)):
+            sign = (-1) ** sum(
+                1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+            )
+            term = Fraction(sign)
+            for i, j in enumerate(perm):
+                term *= Fraction(point[i]) ** exponents[j]
+            total += term
+        return total
+
+    return det([w[j] + n - 1 - j for j in range(n)]) / det(
+        [n - 1 - j for j in range(n)]
+    )
+
+
+ORACLE_POINTS = [
+    (Fraction(2, 3), Fraction(5, 7), Fraction(-9, 4)),  # mixed denominators
+    (Fraction(3, 5), Fraction(3, 5), Fraction(1, 6)),  # repeated coordinate
+    (Fraction(7, 2), Fraction(7, 2), Fraction(7, 2)),  # all coordinates equal
+    (Fraction(0), Fraction(4, 9), Fraction(-1, 8)),  # zero coordinate
+]
+
+
+def test_schur_at_matches_tableau_sum():
+    for n in (1, 2, 3):
+        for lam in all_partitions_up_to(5):
+            mono = ssyt_monomials(lam.parts, n)
+            for point in ORACLE_POINTS:
+                x = point[:n]
+                assert schur_at(lam.parts, x) == monomial_value(mono, x), (lam, x)
+
+
+def test_schur_at_negative_weight_matches_bialternant():
+    x = (Fraction(2, 3), Fraction(5, 7), Fraction(-9, 4))
+    for w in [(0, 0, -1), (1, 0, -2), (2, -1, -1), (-1, -1, -3), (3, 1, -1)]:
+        assert schur_at(w, x) == bialternant_value(w, x), w
+    assert schur_at((1, -1), x[:2]) == bialternant_value((1, -1), x[:2])
+
+
+def test_elementary_at_matches_subset_products():
+    for point in ORACLE_POINTS:
+        assert elementary_at(point, -1) == 0
+        for s in range(len(point) + 2):
+            expect = sum(map(prod, combinations(point, s)), Fraction(0))
+            assert elementary_at(point, s) == expect, (point, s)
+
+
 def test_schur_at_negative_weight_scaling():
     xs = (Fraction(2), Fraction(3))
     assert schur_at((1, -1), xs) == schur_at((2, 0), xs) / (xs[0] * xs[1])
     with pytest.raises(ZeroDivisionError):
         schur_at((0, -1), (Fraction(0), Fraction(1)))
+    # padding (-1,) to (-1, 0) leaves the last Jacobi-Trudi row empty
+    assert schur_at((-1,), xs) == 0
+    assert schur_at((2, -1), xs + (Fraction(0),)) == 0
 
 
 def test_schur_at_more_rows_than_variables():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagra
 from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
     VerificationReport,
+    _localization_counterexample,
     localization_holds,
     localization_mutation_sweep,
     mutate_steps,
@@ -148,3 +150,54 @@ def test_admissible_base_sweep_passes_both_checks():
         assert verify_localization(ctx, seed=0).passed
         assert verify_euler(ctx).passed
         assert len(admissible_bases(ctx)) > 0
+
+
+def _mutated_counterexample(ctx, base, rng_seed, samples, mutate):
+    rng = random.Random(rng_seed)
+    points = [sample_point(rng, ctx.d) for _ in range(samples)]
+    steps = list(staircase_diagrams(ctx, base).steps)
+    mutate(steps)
+    return _localization_counterexample(ctx, base, tuple(steps), points)
+
+
+def test_localization_counterexample_bytes_pinned():
+    # a failing report carries the witness point and residual as strings, so
+    # evaluation must reproduce them byte for byte
+    def raise_first_wedge(steps):
+        steps[0] = StaircaseStep(steps[0].delta, steps[0].s + 1)
+
+    ce = _mutated_counterexample(Context(4, 2), Partition((2,)), 1, 3, raise_first_wedge)
+    assert json.dumps(ce, sort_keys=True) == (
+        '{"delta": [2], "fixedPoint": [1, 2], '
+        '"point": ["18/73", "32/49", "33/16", "98/9"], '
+        '"residual": "-16923518315/23887872", '
+        '"steps": [[[2, 1], 2], [[2, 2], 2], [[3, 3], 4]]}'
+    )
+
+    def raise_last_first_row(steps):
+        parts = list(steps[-1].delta.pad(3))
+        parts[0] += 1
+        steps[-1] = StaircaseStep(Partition(tuple(parts)), steps[-1].s)
+
+    ce = _mutated_counterexample(Context(6, 3), Partition((2, 1)), 7, 2, raise_last_first_row)
+    assert ce["fixedPoint"] == [1, 2, 3]
+    assert ce["point"] == ["8/65", "17/28", "47/75", "7/10", "21/10", "69/13"]
+    assert ce["residual"] == "38515738378460816025/98196982796288"
+
+
+def test_localization_memo_shared_across_calls():
+    ctx = Context(4, 2)
+    rng = random.Random(2)
+    points = [sample_point(rng, 4) for _ in range(2)]
+    memo = {}
+    for base in admissible_bases(ctx):
+        steps = staircase_diagrams(ctx, base).steps
+        assert localization_holds(ctx, base, steps, points, memo)
+    assert memo
+    for (p, fixed, mu), value in memo.items():
+        assert value == schur_at(mu, tuple(1 / points[p][i] for i in fixed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_localization_passes_d6_r3(seed):
+    assert verify_localization(Context(6, 3), seed=seed).passed
