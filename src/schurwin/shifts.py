@@ -11,6 +11,8 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
+`general_shift` reuses each label's unit-step image within one call, and
+K-matrix products skip zeros: a unit step has few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -151,8 +153,11 @@ def general_shift(
     while current != to_k:
         nxt = current + step
         new_terms: list[Term] = []
+        images: dict[GeneratorLabel, TermComplex] = {}
         for t in terms:
-            for u in _unit_step(ctx, t.label, current, nxt, keep_det=keep_det).terms:
+            if t.label not in images:
+                images[t.label] = _unit_step(ctx, t.label, current, nxt, keep_det)
+            for u in images[t.label].terms:
                 copies = t.copies * u.copies
                 if t.ext_power == 0:
                     ext = u.ext_power
@@ -221,13 +226,21 @@ class KMatrix:
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
+    """Product of dense integer row tuples that skips zeros: each nonzero
+    a[i][k] adds a[i][k] * (nonzeros of row k of b) into output row i."""
+    mid, m = len(b), len(b[0]) if b else 0
     if not all(len(row) == mid for row in a):
         raise ShapeError(f"left factor has a row whose length is not {mid}")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(mid)) for j in range(m))
-        for i in range(n)
-    )
+    sparse_b = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, v in b_row:
+                    acc[j] += x * v
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def int_determinant(rows) -> int:
@@ -246,15 +259,15 @@ def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:
     step = -1 if to_k < from_k else 1
     current = from_k
     entries = None
+    b_from = enumerate_window(ctx, from_k)
     while current != to_k:
         nxt = current + step
-        b_from = enumerate_window(ctx, current)
         b_to = enumerate_window(ctx, nxt)
         unit = tuple(
             k_class(ctx, _unit_step(ctx, g, current, nxt), b_to) for g in b_from
         )
         entries = unit if entries is None else _mat_mul(entries, unit)
-        current = nxt
+        b_from, current = b_to, nxt
     return KMatrix(ctx, from_k, to_k, entries)
 
 

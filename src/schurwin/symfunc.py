@@ -260,6 +260,8 @@ def elementary_at(point, s: int) -> Fraction:
 def schur_at(w, point) -> Fraction:
     """Evaluate the Schur function of a dominant weight at exact rationals.
 
+    A weight that zero padding leaves non-dominant is straightened first:
+    w -> sort(w + rho) - rho with the sort's sign, or 0 on a repeated entry.
     Negative weights factor through a power of x_1*...*x_n (all coordinates
     must then be nonzero). The partition piece is homogeneous, so with the
     point written as b / q over integers, s_lam(b / q) = s_lam(b) / q^|lam|,
@@ -274,6 +276,13 @@ def schur_at(w, point) -> Fraction:
     if n == 0:
         return Fraction(1)
     full = _pad(w, n)
+    if w and w[-1] < 0 and len(w) < n:  # zero padding left full non-dominant
+        beta = [p + n - 1 - i for i, p in enumerate(full)]  # full + rho
+        if len(set(beta)) < n:
+            return Fraction(0)
+        inversions = sum(a < b for i, a in enumerate(beta) for b in beta[i + 1 :])
+        straight = [b - n + 1 + i for i, b in enumerate(sorted(beta, reverse=True))]
+        return (-1) ** inversions * schur_at(tuple(straight), xs)
     shift = min(full[-1], 0)
     if shift:
         if any(x == 0 for x in xs):
@@ -284,8 +293,6 @@ def schur_at(w, point) -> Fraction:
     ell = len(lam)
     if ell == 0:
         return Fraction(1)
-    if lam[-1] < 0:  # a negative part before a padded zero: last row empty
-        return Fraction(0)
     bs, q = _cleared(xs)
     top = lam[0] + ell - 1
     hs = [1] + [0] * top

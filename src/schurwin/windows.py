@@ -10,7 +10,6 @@ from .partitions import (
     ShapeError,
     box_partitions,
     canonicalize,
-    graded_lex_key,
 )
 
 
@@ -18,13 +17,13 @@ def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
     """Canonical labels of the W_k generators in graded lexicographic order.
 
     One generator per partition in the r x (d-r) box, twisted by det(S^v)^k;
-    the set always has exactly C(d, r) elements.
+    the set always has exactly C(d, r) elements. The twist adds a constant
+    to every entry, so the graded-lex order of `box_partitions` carries over.
     """
     labels = [
         canonicalize(p.pad(ctx.r), k)
         for p in box_partitions(ctx.box_rows, ctx.box_cols)
     ]
-    labels.sort(key=lambda g: graded_lex_key(g.weight(ctx.r)))
     if len(labels) != comb(ctx.d, ctx.r):
         raise ShapeError(f"W_{k} has {len(labels)} generators, not C({ctx.d}, {ctx.r})")
     return labels

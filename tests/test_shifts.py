@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from schurwin.shifts import (
     Term,
     TermComplex,
     _mat_mul,
+    _unit_step,
     cotwist_shift_amount,
     general_shift,
     int_determinant,
@@ -172,6 +174,74 @@ def test_int_determinant_matches_leibniz_expansion():
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         _mat_mul(((1, 2), (3, 4)), ((1, 0, 0),))
+
+
+def naive_mat_mul(a, b):
+    """Textbook triple loop: independent of the library's zero skipping."""
+    n, mid, m = len(a), len(b), len(b[0])
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            for k in range(mid):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(tuple(row) for row in out)
+
+
+def test_mat_mul_matches_naive_triple_loop():
+    rng = random.Random(31)
+    shapes = [(1, 5, 1), (5, 1, 4), (1, 1, 1), (4, 3, 1), (1, 4, 6), (6, 6, 6)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(44)]
+    for n, mid, m in shapes:
+        density = rng.choice([0.0, 0.1, 0.3, 0.7, 1.0])
+
+        def entry():
+            return rng.randint(-5, 5) if rng.random() < density else 0
+
+        a = [[entry() for _ in range(mid)] for _ in range(n)]
+        b = [[entry() for _ in range(m)] for _ in range(mid)]
+        if rng.random() < 0.5:  # an all-zero row of a, an all-zero column of b
+            a[rng.randrange(n)] = [0] * mid
+            zero_col = rng.randrange(m)
+            for row in b:
+                row[zero_col] = 0
+        a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
+        got = _mat_mul(a, b)
+        assert got == naive_mat_mul(a, b), (a, b)
+        assert all(type(row) is tuple for row in got)
+
+
+def substituted_shift(ctx, from_k, to_k, g, keep_det):
+    """Termwise unit-step substitution with a fresh `_unit_step` per term."""
+    terms = [Term(0, g)]
+    step = -1 if to_k < from_k else 1
+    for current in range(from_k, to_k, step):
+        new_terms = []
+        for t in terms:
+            for u in _unit_step(ctx, t.label, current, current + step, keep_det).terms:
+                copies = t.copies * u.copies
+                if t.ext_power == 0:
+                    ext = u.ext_power
+                elif u.ext_power == 0:
+                    ext = t.ext_power
+                else:
+                    ext = u.ext_power
+                    copies *= comb(ctx.d, t.ext_power)
+                new_terms.append(Term(t.degree + u.degree, u.label, ext, copies))
+        terms = new_terms
+    terms.sort(key=lambda t: t.degree)
+    return TermComplex(tuple(terms), honest=abs(from_k - to_k) <= 1)
+
+
+@pytest.mark.parametrize("d,r", [(5, 2), (6, 3)])
+def test_general_shift_matches_unmemoized_substitution(d, r):
+    ctx = Context(d, r)
+    for from_k, to_k in [(2, -2), (-2, 2)]:
+        for g in enumerate_window(ctx, from_k):
+            for keep_det in (False, True):
+                got = general_shift(ctx, from_k, to_k, g, keep_det=keep_det)
+                ref = substituted_shift(ctx, from_k, to_k, g, keep_det)
+                assert got.terms == ref.terms, (g, from_k, to_k, keep_det)
+                assert got.honest == ref.honest
 
 
 def test_general_shift_identity_and_single_step():

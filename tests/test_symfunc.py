@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import prod
 
 import pytest
@@ -338,6 +338,22 @@ def test_schur_at_negative_weight_matches_bialternant():
     for w in [(0, 0, -1), (1, 0, -2), (2, -1, -1), (-1, -1, -3), (3, 1, -1)]:
         assert schur_at(w, x) == bialternant_value(w, x), w
     assert schur_at((1, -1), x[:2]) == bialternant_value((1, -1), x[:2])
+
+
+def test_schur_at_short_negative_weight_matches_bialternant():
+    # zero padding makes these non-dominant; schur_at straightens them
+    x = (Fraction(2, 3), Fraction(5, 7), Fraction(-9, 4))
+    checked = 0
+    for n in (2, 3):
+        for length in range(1, n):
+            for w in product(range(-3, 4), repeat=length):
+                if list(w) != sorted(w, reverse=True) or w[-1] >= 0:
+                    continue
+                padded = w + (0,) * (n - length)
+                assert schur_at(w, x[:n]) == bialternant_value(padded, x[:n]), w
+                checked += 1
+    assert checked > 20
+    assert schur_at((-2,), (Fraction(2), Fraction(3))) == Fraction(-1, 6)
 
 
 def test_elementary_at_matches_subset_products():

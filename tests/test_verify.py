@@ -1,9 +1,11 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from schurwin import shifts
 from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
@@ -126,6 +128,23 @@ def test_relations_small():
     assert rep.parameters["cotwistShiftAmount"] == 3
     rep = verify_relations(Context(2, 2), k_range=range(-1, 2))
     assert rep.passed
+
+
+def test_relations_catch_a_bad_unit_step(monkeypatch):
+    # one extra copy in one unit-step image must surface as a failed relation
+    honest_step = shifts._unit_step
+
+    def bad_step(ctx, g, from_k, to_k, keep_det=False):
+        tc = honest_step(ctx, g, from_k, to_k, keep_det)
+        if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
+            return tc
+        first = replace(tc.terms[0], copies=tc.terms[0].copies + 1)
+        return replace(tc, terms=(first,) + tc.terms[1:])
+
+    monkeypatch.setattr(shifts, "_unit_step", bad_step)
+    rep = verify_relations(Context(4, 2))
+    assert not rep.passed
+    assert rep.counterexample == {"relation": "unimodular", "k": -2, "l": 2, "det": 4}
 
 
 def test_regression_golden_sets():

@@ -1,6 +1,12 @@
 from math import comb
 
-from schurwin.partitions import Context, GeneratorLabel, Partition, canonicalize
+from schurwin.partitions import (
+    Context,
+    GeneratorLabel,
+    Partition,
+    canonicalize,
+    graded_lex_key,
+)
 from schurwin.windows import enumerate_window, in_window
 
 
@@ -96,3 +102,15 @@ def test_rank_zero_window():
     assert len(labels) == 1
     assert labels[0].det_power == 2
     assert in_window(labels[0], -1, ctx)  # det is trivial at rank zero
+
+
+def test_window_order_needs_no_resort():
+    # box_partitions is graded-lex already and a det twist shifts every entry
+    # by one constant, so the enumeration is sorted without sorting it again
+    for d in range(1, 9):
+        for r in range(d + 1):
+            ctx = Context(d, r)
+            for k in range(-3, 4):
+                labels = enumerate_window(ctx, k)
+                resorted = sorted(labels, key=lambda g: graded_lex_key(g.weight(r)))
+                assert labels == resorted, (d, r, k)
