@@ -78,6 +78,16 @@ class CohomologyTable:
         }
 
 
+def _dotted_weyl(d: int, lam) -> tuple[int, tuple[int, ...]] | None:
+    """(degree, dominant weight) of the dotted Weyl action on a length-d
+    weight, or None when the rho-shifted vector has a repeated entry."""
+    v = [a - i for i, a in enumerate(lam)]  # lam + rho, less the constant d - 1
+    if len(set(v)) != d:
+        return None
+    inversions = sum(1 for i in range(d) for j in range(i + 1, d) if v[i] < v[j])
+    return inversions, tuple(a + i for i, a in enumerate(sorted(v, reverse=True)))
+
+
 def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
     """All cohomology of one irreducible bundle by the dotted Weyl action.
 
@@ -90,17 +100,10 @@ def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
             f"weight shaped ({len(hw.s_part)}, {len(hw.q_part)}), "
             f"context needs ({ctx.r}, {ctx.d - ctx.r})"
         )
-    lam = hw.s_part + hw.q_part
-    rho = tuple(range(ctx.d - 1, -1, -1))
-    v = [a + b for a, b in zip(lam, rho)]
-    if len(set(v)) != ctx.d:
-        return CohomologyTable()
-    inversions = sum(
-        1 for i in range(ctx.d) for j in range(i + 1, ctx.d) if v[i] < v[j]
-    )
-    dom = tuple(a - b for a, b in zip(sorted(v, reverse=True), rho))
     table = CohomologyTable()
-    table.add(inversions, dom, 1)
+    hit = _dotted_weyl(ctx.d, hw.s_part + hw.q_part)
+    if hit is not None:
+        table.add(*hit)
     return table
 
 
@@ -117,11 +120,12 @@ def schur_bundle_weight(ctx: Context, delta, dual: bool = False) -> HomogeneousW
     return HomogeneousWeight(w, (0,) * (ctx.d - ctx.r))
 
 
-def hom_bundle_cohomology(ctx: Context, gamma, delta) -> CohomologyTable:
+def hom_bundle_cohomology(ctx: Context, gamma, delta, memo=None) -> CohomologyTable:
     """Cohomology of S^(gamma) (x) S^v(delta) = Hom(S^v(gamma), S^v(delta)).
 
-    The tensor product is decomposed into irreducibles over GL(r) and each
-    summand goes through `bwb` with zero Q^v weight.
+    The tensor product is decomposed into irreducibles over GL(r) (`memo` is
+    passed to `tensor_gl`) and the dotted Weyl action is applied to each
+    summand with zero Q^v weight.
     """
     gamma = gamma if isinstance(gamma, Partition) else Partition(tuple(gamma))
     delta = delta if isinstance(delta, Partition) else Partition(tuple(delta))
@@ -129,11 +133,10 @@ def hom_bundle_cohomology(ctx: Context, gamma, delta) -> CohomologyTable:
     v = delta.pad(ctx.r)
     q0 = (0,) * (ctx.d - ctx.r)
     out = CohomologyTable()
-    for key, mult in tensor_gl(ctx.r, u, v).terms.items():
-        padded = key + (0,) * (ctx.r - len(key))
-        for deg, row in bwb(ctx, HomogeneousWeight(padded, q0)).groups.items():
-            for w, m in row.items():
-                out.add(deg, w, m * mult)
+    for key, mult in tensor_gl(ctx.r, u, v, memo=memo).terms.items():
+        hit = _dotted_weyl(ctx.d, key + (0,) * (ctx.r - len(key)) + q0)
+        if hit is not None:
+            out.add(*hit, mult)
     return out
 
 

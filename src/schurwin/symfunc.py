@@ -30,8 +30,9 @@ class SchurExpansion:
 
     `rank` is the number of variables. Keys needing more than `rank` nonzero
     rows vanish identically there and are dropped on insertion; rank=None
-    means infinitely many variables, in which case keys must be partitions.
-    Zero coefficients are never stored.
+    means infinitely many variables, in which case keys must be partitions,
+    and a key shorter than `rank` may not end in a negative entry. Zero
+    coefficients are never stored.
     """
 
     __slots__ = ("rank", "terms")
@@ -48,9 +49,19 @@ class SchurExpansion:
                     raise ShapeError(f"weight {list(key)} needs a finite rank")
                 if rank is not None and len(key) > rank:
                     continue
+                if key and key[-1] < 0 and len(key) < rank:
+                    raise ShapeError(f"weight {list(key)} is not dominant at rank {rank}")
                 if coeff:
                     data[key] = data.get(key, 0) + int(coeff)
         self.terms = {k: c for k, c in data.items() if c}
+
+    @classmethod
+    def _trusted(cls, terms: dict, rank: int | None) -> "SchurExpansion":
+        """Build from keys the library made itself: stripped and valid."""
+        self = cls.__new__(cls)
+        self.rank = rank
+        self.terms = {k: c for k, c in terms.items() if c}
+        return self
 
     def __eq__(self, other):
         return (
@@ -76,17 +87,17 @@ class SchurExpansion:
         merged = dict(self.terms)
         for k, c in other.terms.items():
             merged[k] = merged.get(k, 0) + c
-        return SchurExpansion(merged, rank=self.rank)
+        return SchurExpansion._trusted(merged, self.rank)
 
     def __neg__(self) -> "SchurExpansion":
-        return SchurExpansion({k: -c for k, c in self.terms.items()}, rank=self.rank)
+        return SchurExpansion._trusted({k: -c for k, c in self.terms.items()}, self.rank)
 
     def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "SchurExpansion":
-        return SchurExpansion(
-            {k: scalar * c for k, c in self.terms.items()}, rank=self.rank
+        return SchurExpansion._trusted(
+            {k: int(scalar * c) for k, c in self.terms.items()}, self.rank
         )
 
     def multiply(self, other: "SchurExpansion") -> "SchurExpansion":
@@ -102,7 +113,7 @@ class SchurExpansion:
                     part = tensor_gl(self.rank, _pad(k1, self.rank), _pad(k2, self.rank))
                 for k3, c3 in part.terms.items():
                     out[k3] = out.get(k3, 0) + c1 * c2 * c3
-        return SchurExpansion(out, rank=self.rank)
+        return SchurExpansion._trusted(out, self.rank)
 
     def to_json_obj(self):
         return [{"weight": list(k), "coeff": c} for k, c in self.items()]
@@ -157,18 +168,45 @@ def _bump(shape, counts):
     )
 
 
+def _add_column(shape, k, rank):
+    """Pieri rule for s_shape * e_k: every way to add a vertical strip of k
+    boxes, at most one per row, within `rank` rows."""
+    rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
+    ext = shape + (0,) * (rows - len(shape))
+    out, grown = {}, []
+
+    def rec(i, left, above):
+        if left == 0:
+            out[_strip(tuple(grown) + ext[i:])] = 1
+        elif rows - i >= left:
+            for part in (ext[i] + 1, ext[i]):
+                if part <= above:
+                    grown.append(part)
+                    rec(i + 1, left - (part > ext[i]), part)
+                    grown.pop()
+
+    rec(0, k, ext[0] + 1 if rows else 0)
+    return out
+
+
 def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     """Schur product s_a * s_b by Littlewood-Richardson tableau enumeration.
 
     Keys with more than `rank` rows are truncated away (they vanish in rank
-    variables). Commutative; the smaller diagram is used as the filling.
+    variables). Commutative; the smaller diagram is used as the filling. When
+    either factor is a single column the Pieri rule adds it as a vertical
+    strip directly.
     """
     a = a if isinstance(a, Partition) else Partition(tuple(a))
     b = b if isinstance(b, Partition) else Partition(tuple(b))
     if a.size < b.size:
         a, b = b, a
     if rank is not None and len(a) > rank:
-        return SchurExpansion(rank=rank)
+        return SchurExpansion._trusted({}, rank)
+    if a.parts[:1] == (1,):
+        a, b = b, a
+    if b.parts[:1] == (1,):
+        return SchurExpansion._trusted(_add_column(a.parts, len(b), rank), rank)
     # state: (shape so far, cumulative row counts of the last letter placed)
     states: dict[tuple[tuple[int, ...], tuple[int, ...] | None], int] = {
         (a.parts, None): 1
@@ -188,30 +226,37 @@ def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     out: dict[tuple[int, ...], int] = {}
     for (shape, _), mult in states.items():
         out[shape] = out.get(shape, 0) + mult
-    return SchurExpansion(out, rank=rank)
+    return SchurExpansion._trusted(out, rank)
 
 
-def tensor_gl(r: int, u, v, extra_shift: int = 0) -> SchurExpansion:
+def tensor_gl(r: int, u, v, extra_shift: int = 0, memo=None) -> SchurExpansion:
     """Decompose the GL(r) tensor product of two length-r dominant weights.
 
-    Both weights are translated by multiples of (1,...,1) into partitions,
-    multiplied by the LR rule truncated at r rows, and translated back. The
-    answer does not depend on the translation; `extra_shift` exists so tests
-    can confirm that.
+    Each weight is translated by a multiple of (1,...,1) so its last entry is
+    `extra_shift` (0 by default), the two partitions are multiplied by the LR
+    rule truncated at r rows, and the keys are translated back. The answer
+    does not depend on the translation; `extra_shift` exists so tests can
+    confirm that. The LR terms depend only on the translated pair, which is
+    put in a fixed order and looked up in `memo` (a dict the caller owns) when
+    one is given, so a whole translation class shares one LR product.
     """
     u = check_weight(u, r)
     v = check_weight(v, r)
     if r == 0:
-        return SchurExpansion({(): 1}, rank=0)
-    nu = max(0, -u[-1]) + extra_shift
-    nv = max(0, -v[-1]) + extra_shift
-    a = Partition(tuple(x + nu for x in u))
-    b = Partition(tuple(x + nv for x in v))
+        return SchurExpansion._trusted({(): 1}, 0)
+    nu = extra_shift - u[-1]
+    nv = extra_shift - v[-1]
+    pair = tuple(sorted((tuple(x + nu for x in u), tuple(x + nv for x in v))))
+    terms = None if memo is None else memo.get(pair)
+    if terms is None:
+        terms = lr_multiply(Partition(pair[0]), Partition(pair[1]), rank=r).terms
+        if memo is not None:
+            memo[pair] = terms
     total = nu + nv
-    shifted: dict[tuple[int, ...], int] = {}
-    for key, c in lr_multiply(a, b, rank=r).terms.items():
-        shifted[tuple(x - total for x in _pad(key, r))] = c
-    return SchurExpansion(shifted, rank=r)
+    return SchurExpansion._trusted(
+        {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},
+        r,
+    )
 
 
 def _bareiss(a: list[list[int]]) -> int:

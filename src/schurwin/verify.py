@@ -261,9 +261,10 @@ def verify_tilting(ctx: Context) -> VerificationReport:
     t0 = time.perf_counter()
     shapes = box_partitions(ctx.box_rows, ctx.box_cols)
     counterexample = None
+    memo: dict = {}  # LR terms per translated weight pair, for this call only
     for gamma in shapes:
         for delta in shapes:
-            table = hom_bundle_cohomology(ctx, gamma, delta)
+            table = hom_bundle_cohomology(ctx, gamma, delta, memo)
             bad = [deg for deg in table.nonzero_degrees() if deg > 0]
             if bad:
                 counterexample = {

@@ -152,3 +152,15 @@ def test_cohomology_table_json():
     assert t.to_json_obj() == {"1": [{"weight": [2, 0], "mult": 3}]}
     t.add(1, (2, 0), -3)
     assert t.is_zero()
+
+
+def test_hom_bundle_shared_memo_matches_fresh_calls():
+    ctx = Context(6, 3)
+    shapes = box_partitions(ctx.r, ctx.d - ctx.r)
+    memo = {}
+    for gamma in shapes:
+        for delta in shapes:
+            assert hom_bundle_cohomology(ctx, gamma, delta, memo) == hom_bundle_cohomology(
+                ctx, gamma, delta
+            )
+    assert len(memo) == 55

@@ -406,3 +406,53 @@ def test_expansion_json_obj_is_sorted():
         {"weight": [1, 1], "coeff": 3},
         {"weight": [2], "coeff": 1},
     ]
+
+
+def test_expansion_rejects_short_key_with_negative_last_entry():
+    # zero padding would make (1, -1) the non-dominant (1, -1, 0)
+    with pytest.raises(ShapeError):
+        SchurExpansion({(1, -1): 1}, rank=3)
+    assert SchurExpansion({(1, -1): 1}, rank=2).terms == {(1, -1): 1}
+    assert SchurExpansion({(1, 0, -1): 1}, rank=3).terms == {(1, 0, -1): 1}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_column_products_match_evaluation(n):
+    # s_a * e_k at rank n, by the Pieri path, against values at rational points
+    rng = random.Random(40 + n)
+    points = [
+        tuple(Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n))
+        for _ in range(2)
+    ]
+    shapes = [(), (1,), (2,), (2, 1), (3, 1, 1), (2, 2, 1, 1), (4, 3, 1), (3, 3, 2, 2)]
+    for a in shapes + [(1,) * (n + 1)]:
+        for k in range(n + 3):
+            col = (1,) * k
+            for x, y in ((a, col), (col, a)):  # column as the larger and smaller factor
+                prod_ = lr_multiply(x, y, rank=n)
+                if k > n or len(a) > n:
+                    assert prod_.is_zero()
+                for pt in points:
+                    assert evaluate(prod_, pt) == schur_at(a, pt) * elementary_at(pt, k)
+
+
+def test_tensor_gl_memo_and_translation_independent():
+    rng = random.Random(17)
+    memo = {}
+    for _ in range(300):
+        r = rng.randint(1, 4)
+        u = tuple(sorted((rng.randint(-3, 5) for _ in range(r)), reverse=True))
+        v = tuple(sorted((rng.randint(-3, 5) for _ in range(r)), reverse=True))
+        if rng.random() < 0.3:  # last entries positive: the old translation was 0
+            u = tuple(x + 6 for x in u)
+        plain = tensor_gl(r, u, v)
+        assert tensor_gl(r, u, v, memo=memo) == plain
+        size = len(memo)
+        # the swapped pair and a shift of both weights hit the same entry
+        assert tensor_gl(r, v, u, memo=memo) == plain
+        assert tensor_gl(r, tuple(x - 2 for x in u), v, memo=memo) == plain.multiply(
+            SchurExpansion({(-2,) * r: 1}, rank=r)
+        )
+        assert len(memo) == size
+        assert tensor_gl(r, u, v, extra_shift=1, memo=memo) == plain
+        assert tensor_gl(r, u, v, extra_shift=1) == plain

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurwin import shifts
+from schurwin import shifts, symfunc
 from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
@@ -220,3 +220,28 @@ def test_localization_memo_shared_across_calls():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_localization_passes_d6_r3(seed):
     assert verify_localization(Context(6, 3), seed=seed).passed
+
+
+@pytest.mark.parametrize("d, r, calls", [(6, 3, 55), (7, 3, 120)])
+def test_tilting_makes_one_lr_product_per_translation_class(monkeypatch, d, r, calls):
+    # m = C(d-1, r-1) translated weights give C(m+1, 2) unordered pairs
+    count = [0]
+    honest = symfunc.lr_multiply
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(symfunc, "lr_multiply", counted)
+    assert verify_tilting(Context(d, r)).passed
+    assert count[0] == calls
+
+
+@pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3)])
+def test_tilting_passes_larger(d, r):
+    assert verify_tilting(Context(d, r)).passed
+
+
+@pytest.mark.parametrize("d, r", [(8, 4), (10, 3)])
+def test_euler_passes_larger(d, r):
+    assert verify_euler(Context(d, r)).passed
