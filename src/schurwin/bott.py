@@ -13,22 +13,25 @@ convention passing those is equivalent for our purposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Context, Partition, ShapeError, check_weight, dual_weight
 from .symfunc import SchurExpansion, dimension_gl, tensor_gl
 
 
-@dataclass(frozen=True)
-class HomogeneousWeight:
-    """Highest weights (on S^v, on Q^v) of an irreducible homogeneous bundle."""
-
+class _HomogeneousWeightFields(NamedTuple):
     s_part: tuple[int, ...]
     q_part: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_part", check_weight(self.s_part))
-        object.__setattr__(self, "q_part", check_weight(self.q_part))
+
+class HomogeneousWeight(_HomogeneousWeightFields):
+    """Highest weights (on S^v, on Q^v) of an irreducible homogeneous bundle."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, s_part, q_part):
+        return super().__new__(cls, check_weight(s_part), check_weight(q_part))
 
 
 class CohomologyTable:

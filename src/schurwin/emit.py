@@ -2,18 +2,22 @@
 
 Generators are displayed through their full weight on S^v; the all-zero
 weight prints as O. Complexes print as a brace-and-arrow chain with the
-degree span appended, skeletons as a per-degree listing.
+degree span appended, skeletons as a per-degree listing. Of the library this
+module imports only `partitions`, so printing loads nothing a command skips.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
+import sys
 from math import comb
+from typing import TYPE_CHECKING
 
-from .partitions import Context, GeneratorLabel, Partition
-from .shifts import KMatrix, Term, TermComplex
-from .staircase import SequenceTerm, StaircaseData
+from .partitions import Partition
+
+if TYPE_CHECKING:
+    from .partitions import Context, GeneratorLabel
+    from .shifts import KMatrix, Term, TermComplex
+    from .staircase import SequenceTerm, StaircaseData
 
 
 def format_weight(w) -> str:
@@ -232,7 +236,9 @@ def matrix_json_obj(mat: KMatrix):
 
 def jsonable(value):
     """Recursively convert to JSON-safe data; rationals become strings."""
-    if isinstance(value, Fraction):
+    # no Fraction exists until something has imported `fractions`
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, Partition):
         return list(value.parts)
@@ -245,4 +251,6 @@ def jsonable(value):
 
 def json_dumps(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
+    import json
+
     return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"

@@ -6,7 +6,7 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ShapeError(ValueError):
@@ -25,14 +25,35 @@ def _normalized(parts) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A Young diagram: weakly decreasing parts, trailing zeros stripped."""
+    """A Young diagram: weakly decreasing parts, trailing zeros stripped.
 
-    parts: tuple[int, ...] = ()
+    Not a tuple: `len` and iteration run over the parts. Equality, hash and
+    repr are those of a frozen record with the one field `parts`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _normalized(self.parts))
+    __slots__ = ("parts",)
+
+    def __init__(self, parts=()):
+        object.__setattr__(self, "parts", _normalized(parts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
+
+    def __eq__(self, other):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -101,22 +122,27 @@ def graded_lex_key(w):
     return (sum(w), w)
 
 
-@dataclass(frozen=True)
-class Context:
+class _ContextFields(NamedTuple):
+    d: int
+    r: int
+
+
+class Context(_ContextFields):
     """Global parameters: dim V = d and the tautological rank r, 0 <= r <= d.
 
     Derived data: window generators live in the r x (d-r) box, and staircase
     resolutions have d-r+1 steps.
     """
 
-    d: int
-    r: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ShapeError(f"d must be a positive integer, got {self.d}")
-        if not 0 <= self.r <= self.d:
-            raise ShapeError(f"need 0 <= r <= d, got r={self.r}, d={self.d}")
+    def __new__(cls, d: int, r: int):
+        if d < 1:
+            raise ShapeError(f"d must be a positive integer, got {d}")
+        if not 0 <= r <= d:
+            raise ShapeError(f"need 0 <= r <= d, got r={r}, d={d}")
+        return super().__new__(cls, d, r)
 
     @property
     def box_rows(self) -> int:
@@ -132,8 +158,7 @@ class Context:
         return self.d - self.r + 1
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
+class GeneratorLabel(NamedTuple):
     """Canonical name for the bundle S^v(delta) (x) det(S^v)^det_power.
 
     Canonical form pins the r-th entry of delta to zero, pushing the rest into

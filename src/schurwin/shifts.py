@@ -17,34 +17,37 @@ K-matrix products skip zeros: a unit step has few nonzeros per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .partitions import Context, GeneratorLabel, Partition, ShapeError, canonicalize
 from .staircase import base_from_top, staircase_diagrams
-from .symfunc import _bareiss
 from .windows import enumerate_window, in_window
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     degree: int
     label: GeneratorLabel
     ext_power: int = 0
     copies: int = 1
 
 
-@dataclass(frozen=True)
-class TermComplex:
+class _TermComplexFields(NamedTuple):
     terms: tuple[Term, ...]
     honest: bool = True
 
-    def __post_init__(self):
-        if not self.terms:
+
+class TermComplex(_TermComplexFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, terms: tuple[Term, ...], honest: bool = True):
+        if not terms:
             raise ShapeError("a term complex needs at least one term")
-        degs = sorted({t.degree for t in self.terms})
+        degs = sorted({t.degree for t in terms})
         if degs != list(range(degs[0], degs[-1] + 1)):
             raise ShapeError(f"degrees must form a contiguous interval, got {degs}")
+        return super().__new__(cls, terms, honest)
 
     @property
     def degree_span(self) -> tuple[int, int]:
@@ -187,8 +190,7 @@ def k_class(ctx: Context, tc: TermComplex, basis: list[GeneratorLabel]) -> tuple
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class KMatrix:
+class KMatrix(NamedTuple):
     """Integer change-of-basis matrix between two window generator bases.
 
     Rows are indexed by the source window basis, columns by the target one:
@@ -245,6 +247,8 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 
 def int_determinant(rows) -> int:
     """Exact integer determinant by the Bareiss fraction-free elimination."""
+    from .symfunc import _bareiss  # imported here: symfunc loads `fractions`
+
     return _bareiss([[int(x) for x in row] for row in rows])
 
 

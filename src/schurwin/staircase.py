@@ -8,20 +8,18 @@ S^v(base). Only the graded terms are computed here, never the differentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .partitions import Context, Partition, ShapeError, box_partitions
 
 
-@dataclass(frozen=True)
-class StaircaseStep:
+class StaircaseStep(NamedTuple):
     delta: Partition
     s: int
 
 
-@dataclass(frozen=True)
-class StaircaseData:
+class StaircaseData(NamedTuple):
     ctx: Context
     base: Partition
     steps: tuple[StaircaseStep, ...]
@@ -73,8 +71,7 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
     return StaircaseData(ctx, delta, tuple(steps))
 
 
-@dataclass(frozen=True)
-class SequenceTerm:
+class SequenceTerm(NamedTuple):
     delta: Partition
     ext_power: int
     ext_dim: int

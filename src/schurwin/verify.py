@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, product
 
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
 from .emit import sequence_text, staircase_text, windows_text
@@ -33,18 +32,26 @@ from .symfunc import SchurExpansion, elementary_at, schur_at
 from .windows import enumerate_window
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    parameters: dict
-    passed: bool
-    counterexample: dict | None = None
-    timing: float = 0.0
-    note: str = ""
+    """Outcome of one check: mutable, compared attribute by attribute, unhashable."""
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
+    __hash__ = None
+
+    def __init__(
+        self, check: str, parameters: dict, passed: bool,
+        counterexample: dict | None = None, timing: float = 0.0, note: str = "",
+    ):
+        if not passed and counterexample is None:
             raise ValueError("a failing report must carry a counterexample")
+        self.check, self.parameters, self.passed = check, parameters, passed
+        self.counterexample, self.timing, self.note = counterexample, timing, note
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"VerificationReport({body})"
 
     def to_json_obj(self, include_timing: bool = False):
         obj = {
@@ -288,59 +295,33 @@ def verify_tilting(ctx: Context) -> VerificationReport:
     )
 
 
+def _relation_failures(mats, ks):
+    """Every failed relation among the K-matrices, in the order checked."""
+    for k in ks:
+        if not mats[(k, k)].is_identity():
+            yield {"relation": "identity", "k": k}
+    for (k, l), m in mats.items():
+        if m.determinant() not in (-1, 1):
+            yield {"relation": "unimodular", "k": k, "l": l, "det": m.determinant()}
+    for k, l, m in product(ks, repeat=3):
+        if (mats[(k, l)] @ mats[(l, m)]).entries != mats[(k, m)].entries:
+            yield {"relation": "composition", "k": k, "l": l, "m": m}
+    for k, l, shift in product(ks, repeat=3):
+        if k + shift in ks and l + shift in ks:
+            if mats[(k + shift, l + shift)].entries != mats[(k, l)].entries:
+                yield {"relation": "det-conjugation", "k": k, "l": l, "shift": shift}
+    for k, l in product(ks, repeat=2):
+        if not (mats[(k, l)] @ mats[(l, k)]).is_identity():
+            yield {"relation": "round-trip", "k": k, "l": l}
+
+
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: composition, det-conjugation, round trips,
-    unimodularity, and the identity shift."""
+    unimodularity, and the identity shift. Stops at the first failure."""
     t0 = time.perf_counter()
     ks = sorted(k_range)
     mats = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
-    counterexample = None
-
-    def fail(kind, **info):
-        nonlocal counterexample
-        counterexample = {"relation": kind, **info}
-
-    for k in ks:
-        if not mats[(k, k)].is_identity():
-            fail("identity", k=k)
-            break
-    if counterexample is None:
-        for (k, l), m in mats.items():
-            if m.determinant() not in (-1, 1):
-                fail("unimodular", k=k, l=l, det=m.determinant())
-                break
-    if counterexample is None:
-        for k in ks:
-            for l in ks:
-                for m in ks:
-                    lhs = mats[(k, l)] @ mats[(l, m)]
-                    if lhs.entries != mats[(k, m)].entries:
-                        fail("composition", k=k, l=l, m=m)
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-    if counterexample is None:
-        for k in ks:
-            for l in ks:
-                for shift in ks:
-                    if k + shift in ks and l + shift in ks:
-                        if mats[(k + shift, l + shift)].entries != mats[(k, l)].entries:
-                            fail("det-conjugation", k=k, l=l, shift=shift)
-                            break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-    if counterexample is None:
-        for k in ks:
-            for l in ks:
-                if not (mats[(k, l)] @ mats[(l, k)]).is_identity():
-                    fail("round-trip", k=k, l=l)
-                    break
-            if counterexample:
-                break
+    counterexample = next(_relation_failures(mats, ks), None)
     passed = counterexample is None
     return VerificationReport(
         check="relations",

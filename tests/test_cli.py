@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schurwin.cli import main
 
 
@@ -134,6 +136,17 @@ def test_invalid_flags_exit_2(capsys):
     assert main(["shift", "--d", "4", "--r", "2", "--from", "1", "--to", "0",
                  "--gen", "3,2,1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["tilting", "relations", "regression"])
+def test_verify_refuses_delta_it_would_ignore(capsys, suite):
+    # only exactness and euler restrict to one base diagram
+    code, out, err = run(capsys, "verify", suite, "--d", "4", "--r", "2", "--delta", "1")
+    assert code == 2
+    assert out == ""
+    assert f"verify {suite} takes no --delta" in err
+    code, _, _ = run(capsys, "verify", "euler", "--d", "4", "--r", "2", "--delta", "1")
+    assert code == 0
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,8 +137,8 @@ def test_relations_catch_a_bad_unit_step(monkeypatch):
         tc = honest_step(ctx, g, from_k, to_k, keep_det)
         if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
             return tc
-        first = replace(tc.terms[0], copies=tc.terms[0].copies + 1)
-        return replace(tc, terms=(first,) + tc.terms[1:])
+        first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
+        return shifts.TermComplex((first,) + tc.terms[1:], tc.honest)
 
     monkeypatch.setattr(shifts, "_unit_step", bad_step)
     rep = verify_relations(Context(4, 2))
