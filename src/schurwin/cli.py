@@ -69,12 +69,16 @@ def _verify(args, ctx):
 
     if args.delta is not None and args.suite not in ("exactness", "euler"):
         raise ShapeError(f"verify {args.suite} takes no --delta; only exactness and euler do")
+    for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
+        if value is not None and args.suite != "exactness":
+            raise ShapeError(f"verify {args.suite} takes no {flag}; only exactness does")
     name = _SUITES[args.suite]
     run = globals()[name] if name in globals() else __getattr__(name)
     delta = parse_int_tuple(args.delta) if args.delta is not None else None
     if args.suite == "exactness":
         seed = args.seed if args.seed is not None else int(os.environ.get("SCHURWIN_SEED") or 0)
-        return run(ctx, delta=delta, samples=args.samples, seed=seed)
+        samples = 3 if args.samples is None else args.samples
+        return run(ctx, delta=delta, samples=samples, seed=seed)
     if args.suite == "euler":
         return run(ctx, delta=delta)
     return run(ctx)
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--delta", default=None, help="restrict to one base diagram")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=3)
+    p.add_argument("--samples", type=int, default=None)
     _add_format(p)
     p.add_argument("--timings", action="store_true", help="include timing in output")
     return parser

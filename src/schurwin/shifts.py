@@ -178,9 +178,10 @@ def general_shift(
     return TermComplex(tuple(terms), honest=abs(from_k - to_k) <= 1)
 
 
-def k_class(ctx: Context, tc: TermComplex, basis: list[GeneratorLabel]) -> tuple[int, ...]:
-    """Alternating-sum class of a complex in the given generator basis."""
-    index = {g: i for i, g in enumerate(basis)}
+def k_class(ctx: Context, tc: TermComplex, basis: list[GeneratorLabel], index=None):
+    """Alternating-sum class, a tuple of ints, of a complex in the given
+    generator basis; `index`, if given, is the basis's {label: position} map."""
+    index = {g: i for i, g in enumerate(basis)} if index is None else index
     vec = [0] * len(basis)
     for t in tc.terms:
         if t.label not in index:
@@ -219,12 +220,7 @@ class KMatrix(NamedTuple):
         return int_determinant(self.entries)
 
     def is_identity(self) -> bool:
-        n = len(self.entries)
-        return all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
-        )
+        return all(r[i] == 1 and not any(r[:i] + r[i + 1:]) for i, r in enumerate(self.entries))
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
@@ -245,20 +241,62 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _bareiss(a: list[list[int]]) -> int:
+    """Integer determinant by Bareiss's fraction-free elimination.
+
+    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
+    integers throughout. Eliminates in place: `a` is consumed.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def int_determinant(rows) -> int:
     """Exact integer determinant by the Bareiss fraction-free elimination."""
-    from .symfunc import _bareiss  # imported here: symfunc loads `fractions`
-
     return _bareiss([[int(x) for x in row] for row in rows])
+
+
+def unit_step_determinant(rows) -> int:
+    """Exact determinant of a square integer matrix, cheap for a unit step.
+
+    The rows R whose only nonzero entry is a 1, each in a column of C that no
+    earlier such row takes, are set aside: a unit step's overlap rows are of
+    this kind. Laplace expansion along R leaves (-1)^(sum R + sum C) *
+    sign(R -> C) times the determinant of the block off R and C.
+    """
+    taken: dict[int, int] = {}  # column -> row, in row order
+    for i, row in enumerate(rows):
+        nonzero = [j for j, x in enumerate(row) if x]
+        if len(nonzero) == 1 and row[nonzero[0]] == 1:
+            taken.setdefault(nonzero[0], i)
+    cols = list(taken)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    sign = (-1) ** (sum(taken.values()) + sum(cols) + inversions)
+    keep = [j for j in range(len(rows)) if j not in taken]
+    skip = set(taken.values())
+    block = [[row[j] for j in keep] for i, row in enumerate(rows) if i not in skip]
+    return sign * int_determinant(block)
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:
     """K-class matrix of the window shift, composed from unit steps."""
     if from_k == to_k:
         n = len(enumerate_window(ctx, from_k))
-        entries = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
+        entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return KMatrix(ctx, from_k, to_k, entries)
     step = -1 if to_k < from_k else 1
     current = from_k
@@ -267,8 +305,9 @@ def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:
     while current != to_k:
         nxt = current + step
         b_to = enumerate_window(ctx, nxt)
+        index = {g: i for i, g in enumerate(b_to)}
         unit = tuple(
-            k_class(ctx, _unit_step(ctx, g, current, nxt), b_to) for g in b_from
+            k_class(ctx, _unit_step(ctx, g, current, nxt), b_to, index) for g in b_from
         )
         entries = unit if entries is None else _mat_mul(entries, unit)
         b_from, current = b_to, nxt

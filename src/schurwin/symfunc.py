@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .partitions import Partition, ShapeError, check_weight
+from .shifts import _bareiss
 
 
 def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,31 +258,6 @@ def tensor_gl(r: int, u, v, extra_shift: int = 0, memo=None) -> SchurExpansion:
         {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},
         r,
     )
-
-
-def _bareiss(a: list[list[int]]) -> int:
-    """Integer determinant by Bareiss's fraction-free elimination.
-
-    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
-    integers throughout. Eliminates in place: `a` is consumed.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _cleared(xs) -> tuple[list[int], int]:

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
 from .emit import sequence_text, staircase_text, windows_text
 from .partitions import Context, Partition, ShapeError, box_partitions
-from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
+from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator, unit_step_determinant
 from .staircase import (
     StaircaseStep,
     admissible_bases,
@@ -295,14 +295,14 @@ def verify_tilting(ctx: Context) -> VerificationReport:
     )
 
 
-def _relation_failures(mats, ks):
+def _relation_failures(mats, dets, ks):
     """Every failed relation among the K-matrices, in the order checked."""
     for k in ks:
         if not mats[(k, k)].is_identity():
             yield {"relation": "identity", "k": k}
-    for (k, l), m in mats.items():
-        if m.determinant() not in (-1, 1):
-            yield {"relation": "unimodular", "k": k, "l": l, "det": m.determinant()}
+    for k, l in mats:
+        if dets[(k, l)] not in (-1, 1):
+            yield {"relation": "unimodular", "k": k, "l": l, "det": dets[(k, l)]}
     for k, l, m in product(ks, repeat=3):
         if (mats[(k, l)] @ mats[(l, m)]).entries != mats[(k, m)].entries:
             yield {"relation": "composition", "k": k, "l": l, "m": m}
@@ -317,11 +317,30 @@ def _relation_failures(mats, ks):
 
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: composition, det-conjugation, round trips,
-    unimodularity, and the identity shift. Stops at the first failure."""
+    unimodularity, and the identity shift. Stops at the first failure.
+
+    Each unit step U is built once per direction and M_kl is their left fold.
+    det M_kl is the product of the det U on its way, each taken exactly from
+    U's block off its standard unit (overlap) rows: no dense determinant.
+    """
     t0 = time.perf_counter()
     ks = sorted(k_range)
-    mats = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
-    counterexample = next(_relation_failures(mats, ks), None)
+    walk = range(ks[0], ks[-1] + 1) if ks else range(0)
+    units = {(k, l): k_matrix(ctx, k, l) for k in walk for l in (k - 1, k + 1) if l in walk}
+    unit_dets = {kl: unit_step_determinant(u.entries) for kl, u in units.items()}
+    mats, dets = {}, {}
+    for k in ks:
+        row = {k: k_matrix(ctx, k, k)}
+        dets[(k, k)] = 1 if row[k].is_identity() else row[k].determinant()
+        for step in (1, -1):
+            m, det, j = None, 1, k
+            while j + step in walk:
+                key, j = (j, j + step), j + step
+                m = units[key] if m is None else m @ units[key]
+                det *= unit_dets[key]
+                row[j], dets[(k, j)] = m, det
+        mats.update(((k, l), row[l]) for l in ks)
+    counterexample = next(_relation_failures(mats, dets, ks), None)
     passed = counterexample is None
     return VerificationReport(
         check="relations",

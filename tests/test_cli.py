@@ -138,6 +138,31 @@ def test_invalid_flags_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite", ["euler", "tilting", "relations", "regression"])
+@pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--samples", "9"), ("--samples", "0")])
+def test_verify_refuses_seed_and_samples_it_would_ignore(capsys, suite, flag, value):
+    # only exactness samples points, so only exactness takes a seed or a count
+    code, out, err = run(capsys, "verify", suite, "--d", "4", "--r", "2", flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"verify {suite} takes no {flag}" in err
+
+
+def test_exactness_takes_seed_and_samples(capsys):
+    base = ["verify", "exactness", "--d", "4", "--r", "2", "--format", "json"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["parameters"]["samples"] == 3
+    code, out, _ = run(capsys, *base, "--seed", "5", "--samples", "2")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {
+        "d": 4, "r": 2, "samples": 2, "seed": 5, "deltas": "all admissible"
+    }
+    code, _, err = run(capsys, *base, "--samples", "0")
+    assert code == 2
+    assert "samples must be at least 1" in err
+
+
 @pytest.mark.parametrize("suite", ["tilting", "relations", "regression"])
 def test_verify_refuses_delta_it_would_ignore(capsys, suite):
     # only exactness and euler restrict to one base diagram

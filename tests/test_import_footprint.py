@@ -49,6 +49,7 @@ def test_cli_import_loads_no_heavy_module():
         ("windows --d 4 --r 2", HEAVY | {"schurwin.shifts", "schurwin.staircase"}),
         ("staircase --d 4 --r 2 --delta 1 --sequence", HEAVY | {"schurwin.shifts"}),
         ("twist --d 4 --r 2 --gen 3,1 --format json", HEAVY),
+        ("matrix --d 5 --r 2 --from 1 --to 0", HEAVY),
     ],
 )
 def test_command_imports_only_what_it_uses(argv, absent):

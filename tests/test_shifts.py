@@ -17,6 +17,7 @@ from schurwin.shifts import (
     k_matrix,
     shift_down_generator,
     shift_up_generator,
+    unit_step_determinant,
 )
 from schurwin.windows import enumerate_window, in_window
 
@@ -169,6 +170,61 @@ def test_int_determinant_matches_leibniz_expansion():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert int_determinant(rows) == leibniz_determinant(rows)
+
+
+def test_unit_step_determinant_matches_dense_elimination():
+    # every adjacent unit step, both directions, k in [-2, 2]
+    steps = 0
+    for d in range(1, 8):
+        for r in range(0, d + 1):
+            ctx = Context(d, r)
+            for k in range(-2, 2):
+                for a, b in ((k, k + 1), (k + 1, k)):
+                    rows = k_matrix(ctx, a, b).entries
+                    assert unit_step_determinant(rows) == int_determinant(rows), (d, r, a, b)
+                    steps += 1
+    assert steps == 280
+
+
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        ((), 1),
+        (((1,),), 1),
+        (((-1,),), -1),
+        # permuted unit rows only: a 3-cycle is even, a transposition odd
+        (((0, 0, 1), (1, 0, 0), (0, 1, 0)), 1),
+        (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
+        # permuted unit rows around a dense block
+        (((0, 0, 0, 1), (2, 3, 1, 5), (0, 1, 0, 0), (1, 4, 2, 6)), -3),
+        # two rows equal to the same e_c: only the first is set aside
+        (((1, 0, 0), (1, 0, 0), (2, 3, 4)), 0),
+        (((0, 1, 0), (5, 7, 1), (0, 1, 0)), 0),
+        # a -1 unit row stays in the block
+        (((-1, 0), (0, 1)), -1),
+        (((0, -1), (1, 0)), 1),
+        (((3, 1, 0), (0, 0, -1), (0, 2, 0)), 6),
+        # a row with a 1 and another nonzero is not a unit row
+        (((1, 1), (0, 1)), 1),
+        (((1, 2), (3, 1)), -5),
+        (((2, 1, 1), (0, 1, 0), (1, 0, 1)), 1),
+    ],
+)
+def test_unit_step_determinant_hand_made(rows, det):
+    assert leibniz_determinant(rows) == det
+    assert unit_step_determinant(rows) == det
+
+
+def test_unit_step_determinant_with_planted_unit_rows():
+    # random matrices with some standard or signed unit rows in random places
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), rng.randint(0, n)):
+            rows[i] = [0] * n
+            rows[i][rng.randrange(n)] = rng.choice((1, 1, 1, -1, 2))
+        assert unit_step_determinant(rows) == leibniz_determinant(rows), rows
 
 
 def test_mat_mul_rejects_mismatched_shapes():

@@ -11,6 +11,7 @@ from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
     VerificationReport,
     _localization_counterexample,
+    _relation_failures,
     localization_holds,
     localization_mutation_sweep,
     mutate_steps,
@@ -144,6 +145,115 @@ def test_relations_catch_a_bad_unit_step(monkeypatch):
     rep = verify_relations(Context(4, 2))
     assert not rep.passed
     assert rep.counterexample == {"relation": "unimodular", "k": -2, "l": 2, "det": 4}
+
+
+def _with_terms(tc, terms):
+    return shifts.TermComplex(tuple(terms), tc.honest)
+
+
+def _extra_copy(ctx, g, from_k, to_k, tc):
+    if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
+        return tc
+    first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
+    return _with_terms(tc, (first,) + tc.terms[1:])
+
+
+def _dropped_term(ctx, g, from_k, to_k, tc):
+    if (from_k, to_k) != (0, -1) or len(tc.terms) < 2:
+        return tc
+    return _with_terms(tc, tc.terms[:-1])
+
+
+def _degree_moved(ctx, g, from_k, to_k, tc):
+    # both directions of one step negate together: every round trip and
+    # composition still holds, only det-conjugation sees it
+    if (from_k, to_k) not in ((1, 2), (2, 1)):
+        return tc
+    return _with_terms(tc, [t._replace(degree=t.degree + 1) for t in tc.terms])
+
+
+def _ext_swapped(ctx, g, from_k, to_k, tc):
+    # C(d, s) = C(d, d - s): invisible at the level of K-matrices
+    return _with_terms(
+        tc, [t._replace(ext_power=ctx.d - t.ext_power) if t.ext_power else t for t in tc.terms]
+    )
+
+
+def _overlap_doubled(ctx, g, from_k, to_k, tc):
+    # the overlap generator O gets 2 copies: its row is no longer a unit row
+    if (from_k, to_k) != (0, 1) or len(tc.terms) != 1 or g.delta.parts:
+        return tc
+    return _with_terms(tc, [tc.terms[0]._replace(copies=2)])
+
+
+def _overlap_doubled_negated(ctx, g, from_k, to_k, tc):
+    # as above, in odd degree: the determinant changes sign as well
+    tc = _overlap_doubled(ctx, g, from_k, to_k, tc)
+    if tc.terms[0].copies != 2:
+        return tc
+    return _with_terms(tc, [tc.terms[0]._replace(degree=1)])
+
+
+def _one_direction_degree(ctx, g, from_k, to_k, tc):
+    if (from_k, to_k) != (-1, -2) or len(g.delta.parts) != 1:
+        return tc
+    return _with_terms(tc, [t._replace(degree=t.degree + 1) for t in tc.terms])
+
+
+def _one_direction_copy(ctx, g, from_k, to_k, tc):
+    if (from_k, to_k) != (2, 1) or len(tc.terms) < 2:
+        return tc
+    last = tc.terms[-1]._replace(copies=tc.terms[-1].copies + 1)
+    return _with_terms(tc, tc.terms[:-1] + (last,))
+
+
+# corruption -> the relation that fails first over k in [-2, 2] (None: passes)
+UNIT_STEP_CORRUPTIONS = {
+    "none": (None, None),
+    "extra-copy": (_extra_copy, "unimodular"),
+    "dropped-term": (_dropped_term, "unimodular"),
+    "degree-moved": (_degree_moved, "det-conjugation"),
+    "ext-swapped": (_ext_swapped, None),
+    "overlap-doubled": (_overlap_doubled, "unimodular"),
+    "overlap-doubled-negated": (_overlap_doubled_negated, "unimodular"),
+    "one-direction-degree": (_one_direction_degree, "composition"),
+    "one-direction-copy": (_one_direction_copy, "unimodular"),
+}
+
+
+def _reference_relations(ctx, k_range):
+    """First failure with every K-matrix built on its own and every
+    determinant taken densely, in the order `_relation_failures` checks."""
+    ks = sorted(k_range)
+    mats = {(k, l): shifts.k_matrix(ctx, k, l) for k in ks for l in ks}
+    dets = {kl: shifts.int_determinant(m.entries) for kl, m in mats.items()}
+    return next(_relation_failures(mats, dets, ks), None)
+
+
+@pytest.mark.parametrize("d, r", [(4, 2), (5, 2), (6, 3)])
+@pytest.mark.parametrize("name", list(UNIT_STEP_CORRUPTIONS))
+def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d, r):
+    corrupt, first_failure = UNIT_STEP_CORRUPTIONS[name]
+    honest_step = shifts._unit_step
+
+    def step(ctx, g, from_k, to_k, keep_det=False):
+        tc = honest_step(ctx, g, from_k, to_k, keep_det)
+        return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
+
+    monkeypatch.setattr(shifts, "_unit_step", step)
+    ctx = Context(d, r)
+    for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3)):
+        expected = _reference_relations(ctx, k_range)
+        rep = verify_relations(ctx, k_range)
+        assert rep.passed == (expected is None), k_range
+        assert rep.counterexample == expected, k_range
+        if k_range == range(-2, 3):
+            assert (expected or {}).get("relation") == first_failure
+
+
+@pytest.mark.parametrize("d, r", [(7, 3), (8, 4)])
+def test_relations_pass_larger(d, r):
+    assert verify_relations(Context(d, r)).passed
 
 
 def test_regression_golden_sets():
