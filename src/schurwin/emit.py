@@ -17,24 +17,30 @@ from .partitions import Partition
 if TYPE_CHECKING:
     from .partitions import Context, GeneratorLabel
     from .shifts import KMatrix, Term, TermComplex
-    from .staircase import SequenceTerm, StaircaseData
+    from .staircase import StaircaseData
 
 
 def format_weight(w) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
+def _bundle_text(w, ext_power=0) -> str:
+    """O or S∨(w), then ⊗ ∧^s V for s = ext_power > 0."""
+    s = "S∨" + format_weight(w) if any(w) else "O"
+    return s + f" ⊗ ∧^{ext_power} V" if ext_power else s
+
+
+def _bundle_latex(w, ext_power=0) -> str:
+    s = rf"S^{{\vee {format_weight(w)}}}" if any(w) else r"\mathcal{O}"
+    return s + rf" \otimes \wedge^{{{ext_power}}} V" if ext_power else s
+
+
 def format_generator(ctx: Context, label: GeneratorLabel) -> str:
-    w = label.weight(ctx.r)
-    if all(x == 0 for x in w):
-        return "O"
-    return "S∨" + format_weight(w)
+    return _bundle_text(label.weight(ctx.r))
 
 
 def format_term(ctx: Context, term: Term) -> str:
-    s = format_generator(ctx, term.label)
-    if term.ext_power:
-        s += f" ⊗ ∧^{term.ext_power} V"
+    s = _bundle_text(term.label.weight(ctx.r), term.ext_power)
     if term.copies != 1:
         s = f"{term.copies}·" + s
     return s
@@ -116,16 +122,8 @@ def staircase_latex(data: StaircaseData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sequence_term_str(ctx: Context, t: SequenceTerm) -> str:
-    w = t.delta.pad(ctx.r)
-    s = "O" if all(x == 0 for x in w) else "S∨" + format_weight(w)
-    if t.ext_power:
-        s += f" ⊗ ∧^{t.ext_power} V"
-    return s
-
-
 def sequence_text(ctx: Context, terms) -> str:
-    bits = ["0"] + [_sequence_term_str(ctx, t) for t in terms] + ["0"]
+    bits = ["0"] + [_bundle_text(t.delta.pad(ctx.r), t.ext_power) for t in terms] + ["0"]
     return " → ".join(bits) + "\n"
 
 
@@ -146,31 +144,16 @@ def sequence_json_obj(ctx: Context, base: Partition, terms):
 
 
 def sequence_latex(ctx: Context, terms) -> str:
-    bits = ["0"]
-    for t in terms:
-        w = t.delta.pad(ctx.r)
-        if all(x == 0 for x in w):
-            s = r"\mathcal{O}"
-        else:
-            s = rf"S^{{\vee ({','.join(str(x) for x in w)})}}"
-        if t.ext_power:
-            s += rf" \otimes \wedge^{{{t.ext_power}}} V"
-        bits.append(s)
-    bits.append("0")
+    bits = ["0"] + [_bundle_latex(t.delta.pad(ctx.r), t.ext_power) for t in terms] + ["0"]
     return " \\rightarrow ".join(bits) + "\n"
 
 
 def latex_generator(ctx: Context, label: GeneratorLabel) -> str:
-    w = label.weight(ctx.r)
-    if all(x == 0 for x in w):
-        return r"\mathcal{O}"
-    return rf"S^{{\vee ({','.join(str(x) for x in w)})}}"
+    return _bundle_latex(label.weight(ctx.r))
 
 
 def latex_term(ctx: Context, term: Term) -> str:
-    s = latex_generator(ctx, term.label)
-    if term.ext_power:
-        s += rf" \otimes \wedge^{{{term.ext_power}}} V"
+    s = _bundle_latex(term.label.weight(ctx.r), term.ext_power)
     if term.copies != 1:
         s = rf"{term.copies} \cdot " + s
     return s

@@ -217,7 +217,7 @@ class KMatrix(NamedTuple):
         )
 
     def determinant(self) -> int:
-        return int_determinant(self.entries)
+        return unit_step_determinant(self.entries)
 
     def is_identity(self) -> bool:
         return all(r[i] == 1 and not any(r[:i] + r[i + 1:]) for i, r in enumerate(self.entries))

@@ -18,9 +18,9 @@ from importlib import resources
 from itertools import combinations, product
 
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
-from .emit import sequence_text, staircase_text, windows_text
+from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
 from .partitions import Context, Partition, ShapeError, box_partitions
-from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator, unit_step_determinant
+from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
 from .staircase import (
     StaircaseStep,
     admissible_bases,
@@ -64,6 +64,24 @@ class VerificationReport:
         if include_timing:
             obj["timing"] = round(self.timing, 6)
         return obj
+
+
+def _report(check: str, parameters: dict, t0: float, failures, notes) -> VerificationReport:
+    """Report of a check begun at `t0`: its first failure (None items are
+    passes) is the counterexample; `notes` holds the pass and fail notes."""
+    counterexample = next(filter(None, failures), None)
+    passed = counterexample is None
+    return VerificationReport(
+        check, parameters, passed, counterexample, time.perf_counter() - t0, notes[not passed]
+    )
+
+
+def _bases(ctx: Context, delta):
+    """The staircase bases a check runs over, and its "deltas" parameter."""
+    if delta is None:
+        return admissible_bases(ctx), "all admissible"
+    base = Partition(tuple(delta))
+    return [base], list(base.parts)
 
 
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -125,34 +143,22 @@ def verify_localization(
     t0 = time.perf_counter()
     if samples < 1:
         raise ShapeError("samples must be at least 1")
-    bases = [Partition(tuple(delta))] if delta is not None else admissible_bases(ctx)
+    bases, deltas = _bases(ctx, delta)
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
-    counterexample = None
     memo: dict = {}
-    for base in bases:
-        steps = staircase_diagrams(ctx, base).steps
-        counterexample = _localization_counterexample(ctx, base, steps, points, memo)
-        if counterexample:
-            break
-    passed = counterexample is None
-    return VerificationReport(
-        check="localization",
-        parameters={
-            "d": ctx.d,
-            "r": ctx.r,
-            "samples": samples,
-            "seed": seed,
-            "deltas": "all admissible" if delta is None else list(Partition(tuple(delta)).parts),
-        },
-        passed=passed,
-        counterexample=counterexample,
-        timing=time.perf_counter() - t0,
-        note=(
+    return _report(
+        "localization",
+        {"d": ctx.d, "r": ctx.r, "samples": samples, "seed": seed, "deltas": deltas},
+        t0,
+        (
+            _localization_counterexample(ctx, b, staircase_diagrams(ctx, b).steps, points, memo)
+            for b in bases
+        ),
+        (
             "necessary condition verified: alternating K-class vanishes at "
-            "every torus fixed point"
-            if passed
-            else "fixed-point identity failed"
+            "every torus fixed point",
+            "fixed-point identity failed",
         ),
     )
 
@@ -203,22 +209,35 @@ def localization_mutation_sweep(
                     "steps": [[list(st.delta.parts), st.s] for st in mutated],
                 }
             )
-    passed = not survivors
-    return VerificationReport(
-        check="localization-mutations",
-        parameters={"d": ctx.d, "r": ctx.r, "mutations": mutations, "seed": seed},
-        passed=passed,
-        counterexample={"undetected": survivors} if survivors else None,
-        timing=time.perf_counter() - t0,
-        note="every corrupted staircase failed the fixed-point identity"
-        if passed
-        else "some corruption went undetected",
+    return _report(
+        "localization-mutations",
+        {"d": ctx.d, "r": ctx.r, "mutations": mutations, "seed": seed},
+        t0,
+        [{"undetected": survivors} if survivors else None],
+        (
+            "every corrupted staircase failed the fixed-point identity",
+            "some corruption went undetected",
+        ),
     )
 
 
 def _wedge_v_character(ctx: Context, s: int) -> SchurExpansion:
     """Character of wedge^s V as a dominant weight on V^v."""
     return SchurExpansion({(0,) * (ctx.d - s) + (-1,) * s: 1}, rank=ctx.d)
+
+
+def _euler_failures(ctx: Context, bases):
+    q0 = (0,) * (ctx.d - ctx.r)
+    for base in bases:
+        steps = staircase_diagrams(ctx, base).steps
+        total = euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0))
+        sign = -1
+        for st in steps:
+            chi = euler_character(ctx, HomogeneousWeight(st.delta.pad(ctx.r), q0))
+            total = total + sign * chi.multiply(_wedge_v_character(ctx, st.s))
+            sign = -sign
+        if not total.is_zero():
+            yield {"delta": list(base.parts), "residual": [[list(k), c] for k, c in total.items()]}
 
 
 def verify_euler(ctx: Context, delta=None) -> VerificationReport:
@@ -229,69 +248,38 @@ def verify_euler(ctx: Context, delta=None) -> VerificationReport:
     equality is decided structurally in the Schur basis.
     """
     t0 = time.perf_counter()
-    bases = [Partition(tuple(delta))] if delta is not None else admissible_bases(ctx)
-    q0 = (0,) * (ctx.d - ctx.r)
-    counterexample = None
-    for base in bases:
-        steps = staircase_diagrams(ctx, base).steps
-        total = euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0))
-        sign = -1
-        for st in steps:
-            chi = euler_character(ctx, HomogeneousWeight(st.delta.pad(ctx.r), q0))
-            total = total + sign * chi.multiply(_wedge_v_character(ctx, st.s))
-            sign = -sign
-        if not total.is_zero():
-            counterexample = {
-                "delta": list(base.parts),
-                "residual": [[list(k), c] for k, c in total.items()],
-            }
-            break
-    passed = counterexample is None
-    return VerificationReport(
-        check="euler",
-        parameters={
-            "d": ctx.d,
-            "r": ctx.r,
-            "deltas": "all admissible" if delta is None else list(Partition(tuple(delta)).parts),
-        },
-        passed=passed,
-        counterexample=counterexample,
-        timing=time.perf_counter() - t0,
-        note="alternating Euler characters balance in the Schur basis"
-        if passed
-        else "character balance failed",
+    bases, deltas = _bases(ctx, delta)
+    return _report(
+        "euler",
+        {"d": ctx.d, "r": ctx.r, "deltas": deltas},
+        t0,
+        _euler_failures(ctx, bases),
+        ("alternating Euler characters balance in the Schur basis", "character balance failed"),
     )
+
+
+def _tilting_failures(ctx: Context, shapes):
+    memo: dict = {}  # LR terms per translated weight pair, for this call only
+    for gamma, delta in product(shapes, repeat=2):
+        table = hom_bundle_cohomology(ctx, gamma, delta, memo)
+        bad = [deg for deg in table.nonzero_degrees() if deg > 0]
+        if bad:
+            yield {"gamma": list(gamma.parts), "delta": list(delta.parts), "degrees": bad}
 
 
 def verify_tilting(ctx: Context) -> VerificationReport:
     """Ext-vanishing sweep: no higher cohomology between box generators."""
     t0 = time.perf_counter()
     shapes = box_partitions(ctx.box_rows, ctx.box_cols)
-    counterexample = None
-    memo: dict = {}  # LR terms per translated weight pair, for this call only
-    for gamma in shapes:
-        for delta in shapes:
-            table = hom_bundle_cohomology(ctx, gamma, delta, memo)
-            bad = [deg for deg in table.nonzero_degrees() if deg > 0]
-            if bad:
-                counterexample = {
-                    "gamma": list(gamma.parts),
-                    "delta": list(delta.parts),
-                    "degrees": bad,
-                }
-                break
-        if counterexample:
-            break
-    passed = counterexample is None
-    return VerificationReport(
-        check="tilting",
-        parameters={"d": ctx.d, "r": ctx.r, "pairs": len(shapes) ** 2},
-        passed=passed,
-        counterexample=counterexample,
-        timing=time.perf_counter() - t0,
-        note="no higher Ext groups between window generators"
-        if passed
-        else "higher cohomology found inside the box",
+    return _report(
+        "tilting",
+        {"d": ctx.d, "r": ctx.r, "pairs": len(shapes) ** 2},
+        t0,
+        _tilting_failures(ctx, shapes),
+        (
+            "no higher Ext groups between window generators",
+            "higher cohomology found inside the box",
+        ),
     )
 
 
@@ -327,11 +315,11 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     ks = sorted(k_range)
     walk = range(ks[0], ks[-1] + 1) if ks else range(0)
     units = {(k, l): k_matrix(ctx, k, l) for k in walk for l in (k - 1, k + 1) if l in walk}
-    unit_dets = {kl: unit_step_determinant(u.entries) for kl, u in units.items()}
+    unit_dets = {kl: u.determinant() for kl, u in units.items()}
     mats, dets = {}, {}
     for k in ks:
         row = {k: k_matrix(ctx, k, k)}
-        dets[(k, k)] = 1 if row[k].is_identity() else row[k].determinant()
+        dets[(k, k)] = row[k].determinant()
         for step in (1, -1):
             m, det, j = None, 1, k
             while j + step in walk:
@@ -340,26 +328,21 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
                 det *= unit_dets[key]
                 row[j], dets[(k, j)] = m, det
         mats.update(((k, l), row[l]) for l in ks)
-    counterexample = next(_relation_failures(mats, dets, ks), None)
-    passed = counterexample is None
-    return VerificationReport(
-        check="relations",
-        parameters={
+    return _report(
+        "relations",
+        {
             "d": ctx.d,
             "r": ctx.r,
             "kRange": list(ks),
             "cotwistShiftAmount": cotwist_shift_amount(ctx),
         },
-        passed=passed,
-        counterexample=counterexample,
-        timing=time.perf_counter() - t0,
-        note="K-matrix relations hold" if passed else "a K-matrix relation failed",
+        t0,
+        _relation_failures(mats, dets, ks),
+        ("K-matrix relations hold", "a K-matrix relation failed"),
     )
 
 
 def _shift_table_text(ctx: Context) -> str:
-    from .emit import format_complex, format_generator
-
     lines = []
     for g in enumerate_window(ctx, 1):
         tc = shift_down_generator(ctx, g)
@@ -410,31 +393,24 @@ def _read_golden(name: str) -> str:
     return (resources.files("schurwin") / "golden" / name).read_text(encoding="utf-8")
 
 
+def _golden_failures(ctx: Context, entries):
+    for _, _, name, produce in entries:
+        expected = _read_golden(name)
+        actual = produce(ctx)
+        if actual != expected:
+            yield {"file": name, "expected": expected.splitlines(), "actual": actual.splitlines()}
+
+
 def verify_regression(ctx: Context) -> VerificationReport:
     """Byte-exact comparison of emitted output against the stored golden files."""
     t0 = time.perf_counter()
     entries = [e for e in GOLDEN_INDEX if (e[0], e[1]) == (ctx.d, ctx.r)]
     if not entries:
         raise ShapeError(f"no golden data for d={ctx.d}, r={ctx.r}")
-    counterexample = None
-    for _, _, name, produce in entries:
-        expected = _read_golden(name)
-        actual = produce(ctx)
-        if actual != expected:
-            counterexample = {
-                "file": name,
-                "expected": expected.splitlines(),
-                "actual": actual.splitlines(),
-            }
-            break
-    passed = counterexample is None
-    return VerificationReport(
-        check="regression",
-        parameters={"d": ctx.d, "r": ctx.r, "files": [e[2] for e in entries]},
-        passed=passed,
-        counterexample=counterexample,
-        timing=time.perf_counter() - t0,
-        note="emitted output matches the golden files byte for byte"
-        if passed
-        else "golden mismatch",
+    return _report(
+        "regression",
+        {"d": ctx.d, "r": ctx.r, "files": [e[2] for e in entries]},
+        t0,
+        _golden_failures(ctx, entries),
+        ("emitted output matches the golden files byte for byte", "golden mismatch"),
     )

@@ -215,6 +215,15 @@ def test_unit_step_determinant_hand_made(rows, det):
     assert unit_step_determinant(rows) == det
 
 
+def test_k_matrix_determinant_matches_dense_elimination():
+    # composed and identity matrices too, not only single unit steps
+    for d, r in [(3, 1), (4, 2), (5, 2), (6, 3)]:
+        ctx = Context(d, r)
+        for k, l in [(0, 0), (1, 0), (2, -2), (-1, 2)]:
+            m = k_matrix(ctx, k, l)
+            assert m.determinant() == int_determinant(m.entries), (d, r, k, l)
+
+
 def test_unit_step_determinant_with_planted_unit_rows():
     # random matrices with some standard or signed unit rows in random places
     rng = random.Random(41)

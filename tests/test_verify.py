@@ -354,3 +354,130 @@ def test_tilting_passes_larger(d, r):
 @pytest.mark.parametrize("d, r", [(8, 4), (10, 3)])
 def test_euler_passes_larger(d, r):
     assert verify_euler(Context(d, r)).passed
+
+
+def _failing_reports(monkeypatch):
+    """Each suite's report with one of the names `verify` binds corrupted."""
+    import schurwin.verify as V
+
+    ctx = Context(4, 2)
+    honest_diagrams = V.staircase_diagrams
+
+    def first_wedge_raised(ctx, base):
+        data = honest_diagrams(ctx, base)
+        first = StaircaseStep(data.steps[0].delta, data.steps[0].s + 1)
+        return data._replace(steps=(first,) + data.steps[1:])
+
+    with monkeypatch.context() as m:
+        m.setattr(V, "staircase_diagrams", first_wedge_raised)
+        yield "localization", V.verify_localization(ctx, samples=1, seed=2)
+        yield "localization-delta", V.verify_localization(ctx, delta=(2,), samples=1, seed=2)
+        yield "euler", V.verify_euler(ctx)
+    with monkeypatch.context() as m:
+        m.setattr(V, "localization_holds", lambda *args: True)
+        yield "mutations", V.localization_mutation_sweep(ctx, mutations=2, seed=1)
+    honest_hom = V.hom_bundle_cohomology
+
+    def hom_with_ext2(ctx, gamma, delta, memo=None):
+        table = honest_hom(ctx, gamma, delta, memo)
+        if (gamma.parts, delta.parts) == ((2, 1), (1,)):
+            table.add(2, (0, 0, 0, 0))
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(V, "hom_bundle_cohomology", hom_with_ext2)
+        yield "tilting", V.verify_tilting(ctx)
+    honest_read = V._read_golden
+
+    def read_altered(name):
+        text = honest_read(name)
+        return text.replace("∧^1", "∧^2") if name == "sequences_d2_r1.txt" else text
+
+    with monkeypatch.context() as m:
+        m.setattr(V, "_read_golden", read_altered)
+        yield "regression", V.verify_regression(Context(2, 1))
+
+
+FAILING_REPORTS = {
+    "localization": {
+        "check": "localization",
+        "parameters": {"d": 4, "r": 2, "samples": 1, "seed": 2, "deltas": "all admissible"},
+        "pass": False,
+        "counterexample": {
+            "delta": [],
+            "fixedPoint": [1, 2],
+            "point": ["22/95", "11/47", "2/3", "43/20"],
+            "residual": "176723/4840",
+            "steps": [[[1, 1], 3], [[2, 1], 3], [[3, 1], 4]],
+        },
+        "note": "fixed-point identity failed",
+    },
+    "localization-delta": {
+        "check": "localization",
+        "parameters": {"d": 4, "r": 2, "samples": 1, "seed": 2, "deltas": [2]},
+        "pass": False,
+        "counterexample": {
+            "delta": [2],
+            "fixedPoint": [1, 2],
+            "point": ["22/95", "11/47", "2/3", "43/20"],
+            "residual": "1019529/13310",
+            "steps": [[[2, 1], 2], [[2, 2], 2], [[3, 3], 4]],
+        },
+        "note": "fixed-point identity failed",
+    },
+    "euler": {
+        "check": "euler",
+        "parameters": {"d": 4, "r": 2, "deltas": "all admissible"},
+        "pass": False,
+        "counterexample": {
+            "delta": [],
+            "residual": [
+                [[], 1],
+                [[0, 0, 0, -1], -1],
+                [[1, 0, -1, -1], -1],
+                [[1, 0, 0, -1], 1],
+                [[1, 1, -1, -1], 1],
+            ],
+        },
+        "note": "character balance failed",
+    },
+    "mutations": {
+        "check": "localization-mutations",
+        "parameters": {"d": 4, "r": 2, "mutations": 2, "seed": 1},
+        "pass": False,
+        "counterexample": {
+            "undetected": [
+                {"mutation": 0, "delta": [2], "steps": [[[2, 1], 1], [[2, 2], 2], [[4, 3], 4]]},
+                {"mutation": 1, "delta": [], "steps": [[[1, 1], 4], [[2, 1], 3], [[3, 1], 4]]},
+            ]
+        },
+        "note": "some corruption went undetected",
+    },
+    "tilting": {
+        "check": "tilting",
+        "parameters": {"d": 4, "r": 2, "pairs": 36},
+        "pass": False,
+        "counterexample": {"gamma": [2, 1], "delta": [1], "degrees": [2]},
+        "note": "higher cohomology found inside the box",
+    },
+    "regression": {
+        "check": "regression",
+        "parameters": {"d": 2, "r": 1, "files": ["shift_table_d2_r1.txt", "sequences_d2_r1.txt"]},
+        "pass": False,
+        "counterexample": {
+            "file": "sequences_d2_r1.txt",
+            "expected": ["0 → S∨(2) ⊗ ∧^2 V → S∨(1) ⊗ ∧^2 V → O → 0"],
+            "actual": ["0 → S∨(2) ⊗ ∧^2 V → S∨(1) ⊗ ∧^1 V → O → 0"],
+        },
+        "note": "golden mismatch",
+    },
+}
+
+
+def test_failing_reports_pinned(monkeypatch):
+    # every suite's failing report, whole, as the hand-built reports gave it
+    reports = dict(_failing_reports(monkeypatch))
+    assert list(reports) == list(FAILING_REPORTS)
+    for name, rep in reports.items():
+        assert rep.to_json_obj() == FAILING_REPORTS[name], name
+        assert rep.timing > 0, name
