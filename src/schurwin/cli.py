@@ -1,8 +1,10 @@
 """Command-line front-end: windows, staircase, shift, matrix, verify.
 
 Each command imports the modules it uses when it runs, so a call loads only
-what its command needs and `--version` loads nothing beyond argparse. Output
-goes through one table of renderers keyed by (kind, format).
+what its command needs and `--version` loads nothing beyond argparse. Three
+tables drive it: `_COMMANDS` builds the parser, `_SUITES` says which `verify`
+function runs each suite and which flags it takes (a new suite is one row),
+and `_RENDER` holds the renderers, keyed by (kind, format).
 """
 
 from __future__ import annotations
@@ -13,24 +15,15 @@ import sys
 
 from . import __version__
 
-# verify suite -> the `verify` function that runs it
+# verify suite -> (the `verify` function that runs it, the flags it takes);
+# `_verify` refuses any other flag and passes these as keyword arguments
 _SUITES = {
-    "exactness": "verify_localization",
-    "euler": "verify_euler",
-    "tilting": "verify_tilting",
-    "relations": "verify_relations",
-    "regression": "verify_regression",
+    "exactness": ("verify_localization", ("delta", "seed", "samples")),
+    "euler": ("verify_euler", ("delta",)),
+    "tilting": ("verify_tilting", ()),
+    "relations": ("verify_relations", ()),
+    "regression": ("verify_regression", ()),
 }
-
-
-def __getattr__(name):
-    # the suite functions resolve through this module at call time, so a
-    # caller can replace one here without `verify` being imported up front
-    if name in _SUITES.values():
-        from . import verify
-
-        return getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _windows(args, ctx):
@@ -65,23 +58,23 @@ def _matrix(args, ctx):
 
 
 def _verify(args, ctx):
+    from . import verify
     from .partitions import ShapeError, parse_int_tuple
 
-    if args.delta is not None and args.suite not in ("exactness", "euler"):
-        raise ShapeError(f"verify {args.suite} takes no --delta; only exactness and euler do")
-    for flag, value in (("--seed", args.seed), ("--samples", args.samples)):
-        if value is not None and args.suite != "exactness":
-            raise ShapeError(f"verify {args.suite} takes no {flag}; only exactness does")
-    name = _SUITES[args.suite]
-    run = globals()[name] if name in globals() else __getattr__(name)
-    delta = parse_int_tuple(args.delta) if args.delta is not None else None
-    if args.suite == "exactness":
-        seed = args.seed if args.seed is not None else int(os.environ.get("SCHURWIN_SEED") or 0)
-        samples = 3 if args.samples is None else args.samples
-        return run(ctx, delta=delta, samples=samples, seed=seed)
-    if args.suite == "euler":
-        return run(ctx, delta=delta)
-    return run(ctx)
+    name, takes = _SUITES[args.suite]
+    for flag in ("delta", "seed", "samples"):
+        if getattr(args, flag) is not None and flag not in takes:
+            only = " and ".join(s for s, (_, takers) in _SUITES.items() if flag in takers)
+            verb = "do" if " and " in only else "does"
+            raise ShapeError(f"verify {args.suite} takes no --{flag}; only {only} {verb}")
+    kwargs = {flag: getattr(args, flag) for flag in takes}
+    if kwargs.get("delta") is not None:
+        kwargs["delta"] = parse_int_tuple(kwargs["delta"])
+    if "seed" in takes and args.seed is None:  # exactness: SCHURWIN_SEED, then 0
+        kwargs["seed"] = int(os.environ.get("SCHURWIN_SEED") or 0)
+    if "samples" in takes and args.samples is None:
+        kwargs["samples"] = 3
+    return getattr(verify, name)(ctx, **kwargs)
 
 
 def _report_text(report, include_timing: bool) -> str:
@@ -124,18 +117,39 @@ _RENDER = {
 }
 
 
-def _add_command(sub, name, run, help, **defaults):
-    """A subcommand taking --d and --r; `kind` defaults to its name."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(**{"run": run, "kind": name, **defaults})
-    p.add_argument("--d", type=int, required=True, help="dimension of V")
-    p.add_argument("--r", type=int, required=True, help="tautological rank")
-    return p
+# a command argument is (flag, add_argument keywords); --format takes its
+# choices from the formats _RENDER has for the command's kind
+_FORMAT = ("--format", None)
+_FROM_TO = (("--from", dict(dest="from_k", type=int, required=True)),
+            ("--to", dict(dest="to_k", type=int, required=True)))
+_GEN = (("--gen", dict(required=True, help="generator weight, comma-separated")),
+        ("--keep-det", dict(action="store_true", help="retain wedge^d V factors")))
 
-
-def _add_format(p):
-    kind = p.get_default("kind")
-    p.add_argument("--format", choices=[f for k, f in _RENDER if k == kind], default="text")
+# command -> (help, runner, parser defaults, arguments after --d and --r);
+# `kind`, which picks the renderers, defaults to the command's name
+_COMMANDS = {
+    "windows": ("list the W_k generator set", _windows, {},
+                (("--k", dict(type=int, default=0)), _FORMAT)),
+    "staircase": ("staircase diagrams or the exact sequence", _staircase, {}, (
+        ("--delta", dict(required=True, help="base diagram, comma-separated")),
+        ("--sequence", dict(dest="kind", action="store_const", const="sequence",
+                            help="emit the exact sequence")),
+        _FORMAT,
+    )),
+    "shift": ("window-shift action on one generator", _shift, {}, (*_FROM_TO, *_GEN, _FORMAT)),
+    # the shift from W_+1 down to W_0 is the twist action on generators;
+    # `twist` is a documented alias for that one step
+    "twist": ("twist action on a W_+1 generator (shift from 1 to 0)", _shift,
+              {"kind": "shift", "from_k": 1, "to_k": 0}, (*_GEN, _FORMAT)),
+    "matrix": ("K-class change-of-basis matrix", _matrix, {}, (*_FROM_TO, _FORMAT)),
+    "verify": ("run one verification suite", _verify, {}, (
+        ("suite", dict(choices=tuple(_SUITES))),
+        ("--delta", dict(help="restrict to one base diagram")),
+        ("--seed", dict(type=int)), ("--samples", dict(type=int)),
+        _FORMAT,
+        ("--timings", dict(action="store_true", help="include timing in output")),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,48 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"schurwin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "windows", _windows, "list the W_k generator set")
-    p.add_argument("--k", type=int, default=0)
-    _add_format(p)
-
-    p = _add_command(sub, "staircase", _staircase, "staircase diagrams or the exact sequence")
-    p.add_argument("--delta", required=True, help="base diagram, comma-separated")
-    p.add_argument(
-        "--sequence", dest="kind", action="store_const", const="sequence",
-        help="emit the exact sequence",
-    )
-    _add_format(p)
-
-    p = _add_command(sub, "shift", _shift, "window-shift action on one generator")
-    p.add_argument("--from", dest="from_k", type=int, required=True)
-    p.add_argument("--to", dest="to_k", type=int, required=True)
-    p.add_argument("--gen", required=True, help="generator weight, comma-separated")
-    p.add_argument("--keep-det", action="store_true", help="retain wedge^d V factors")
-    _add_format(p)
-
-    # the shift from W_+1 down to W_0 is the twist action on generators;
-    # `twist` is a documented alias for that one step
-    p = _add_command(
-        sub, "twist", _shift, "twist action on a W_+1 generator (shift from 1 to 0)",
-        kind="shift", from_k=1, to_k=0,
-    )
-    p.add_argument("--gen", required=True, help="generator weight, comma-separated")
-    p.add_argument("--keep-det", action="store_true", help="retain wedge^d V factors")
-    _add_format(p)
-
-    p = _add_command(sub, "matrix", _matrix, "K-class change-of-basis matrix")
-    p.add_argument("--from", dest="from_k", type=int, required=True)
-    p.add_argument("--to", dest="to_k", type=int, required=True)
-    _add_format(p)
-
-    p = _add_command(sub, "verify", _verify, "run one verification suite")
-    p.add_argument("suite", choices=tuple(_SUITES))
-    p.add_argument("--delta", default=None, help="restrict to one base diagram")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    _add_format(p)
-    p.add_argument("--timings", action="store_true", help="include timing in output")
+    for name, (help, run, defaults, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**{"run": run, "kind": name, **defaults})
+        p.add_argument("--d", type=int, required=True, help="dimension of V")
+        p.add_argument("--r", type=int, required=True, help="tautological rank")
+        kind = p.get_default("kind")
+        formats = {"choices": [f for k, f in _RENDER if k == kind], "default": "text"}
+        for flag, options in arguments:
+            p.add_argument(flag, **(formats if options is None else options))
     return parser
 
 

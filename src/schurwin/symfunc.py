@@ -230,23 +230,21 @@ def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     return SchurExpansion._trusted(out, rank)
 
 
-def tensor_gl(r: int, u, v, extra_shift: int = 0, memo=None) -> SchurExpansion:
+def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
     """Decompose the GL(r) tensor product of two length-r dominant weights.
 
     Each weight is translated by a multiple of (1,...,1) so its last entry is
-    `extra_shift` (0 by default), the two partitions are multiplied by the LR
-    rule truncated at r rows, and the keys are translated back. The answer
-    does not depend on the translation; `extra_shift` exists so tests can
-    confirm that. The LR terms depend only on the translated pair, which is
-    put in a fixed order and looked up in `memo` (a dict the caller owns) when
-    one is given, so a whole translation class shares one LR product.
+    0, the two partitions are multiplied by the LR rule truncated at r rows,
+    and the keys are translated back. The LR terms depend only on the
+    translated pair, which is put in a fixed order and looked up in `memo` (a
+    dict the caller owns) when one is given, so a whole translation class
+    shares one LR product.
     """
     u = check_weight(u, r)
     v = check_weight(v, r)
     if r == 0:
         return SchurExpansion._trusted({(): 1}, 0)
-    nu = extra_shift - u[-1]
-    nv = extra_shift - v[-1]
+    nu, nv = -u[-1], -v[-1]
     pair = tuple(sorted((tuple(x + nu for x in u), tuple(x + nv for x in v))))
     terms = None if memo is None else memo.get(pair)
     if terms is None:

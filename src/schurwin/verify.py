@@ -192,6 +192,8 @@ def localization_mutation_sweep(
 ) -> VerificationReport:
     """Corrupt staircase data and confirm localization catches every mutation."""
     t0 = time.perf_counter()
+    if ctx.r == 0:
+        raise ShapeError("no staircase bases exist for r = 0")
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(3)]
     bases = admissible_bases(ctx)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,7 +146,7 @@ def test_verify_refuses_seed_and_samples_it_would_ignore(capsys, suite, flag, va
     code, out, err = run(capsys, "verify", suite, "--d", "4", "--r", "2", flag, value)
     assert code == 2
     assert out == ""
-    assert f"verify {suite} takes no {flag}" in err
+    assert err == f"schurwin: verify {suite} takes no {flag}; only exactness does\n"
 
 
 def test_exactness_takes_seed_and_samples(capsys):
@@ -169,9 +170,169 @@ def test_verify_refuses_delta_it_would_ignore(capsys, suite):
     code, out, err = run(capsys, "verify", suite, "--d", "4", "--r", "2", "--delta", "1")
     assert code == 2
     assert out == ""
-    assert f"verify {suite} takes no --delta" in err
+    assert err == f"schurwin: verify {suite} takes no --delta; only exactness and euler do\n"
     code, _, _ = run(capsys, "verify", "euler", "--d", "4", "--r", "2", "--delta", "1")
     assert code == 0
+
+
+# `schurwin [command] --help` at COLUMNS=80; argparse before Python 3.10
+# headed the options "optional arguments:", which the test maps to this
+HELP = {
+    "": """\
+usage: schurwin [-h] [--version]
+                {windows,staircase,shift,twist,matrix,verify} ...
+
+Exact window, staircase, and shift combinatorics on Grassmannians
+
+positional arguments:
+  {windows,staircase,shift,twist,matrix,verify}
+    windows             list the W_k generator set
+    staircase           staircase diagrams or the exact sequence
+    shift               window-shift action on one generator
+    twist               twist action on a W_+1 generator (shift from 1 to 0)
+    matrix              K-class change-of-basis matrix
+    verify              run one verification suite
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "windows": """\
+usage: schurwin windows [-h] --d D --r R [--k K] [--format {text,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --k K
+  --format {text,json,latex}
+""",
+    "staircase": """\
+usage: schurwin staircase [-h] --d D --r R --delta DELTA [--sequence]
+                          [--format {text,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --delta DELTA         base diagram, comma-separated
+  --sequence            emit the exact sequence
+  --format {text,json,latex}
+""",
+    "shift": """\
+usage: schurwin shift [-h] --d D --r R --from FROM_K --to TO_K --gen GEN
+                      [--keep-det] [--format {text,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --from FROM_K
+  --to TO_K
+  --gen GEN             generator weight, comma-separated
+  --keep-det            retain wedge^d V factors
+  --format {text,json,latex}
+""",
+    "twist": """\
+usage: schurwin twist [-h] --d D --r R --gen GEN [--keep-det]
+                      [--format {text,json,latex}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --gen GEN             generator weight, comma-separated
+  --keep-det            retain wedge^d V factors
+  --format {text,json,latex}
+""",
+    "matrix": """\
+usage: schurwin matrix [-h] --d D --r R --from FROM_K --to TO_K
+                       [--format {text,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --from FROM_K
+  --to TO_K
+  --format {text,json,csv}
+""",
+    "verify": """\
+usage: schurwin verify [-h] --d D --r R [--delta DELTA] [--seed SEED]
+                       [--samples SAMPLES] [--format {text,json}] [--timings]
+                       {exactness,euler,tilting,relations,regression}
+
+positional arguments:
+  {exactness,euler,tilting,relations,regression}
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 dimension of V
+  --r R                 tautological rank
+  --delta DELTA         restrict to one base diagram
+  --seed SEED
+  --samples SAMPLES
+  --format {text,json}
+  --timings             include timing in output
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_text_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (0, "")
+    assert out.replace("\noptional arguments:\n", "\noptions:\n") == HELP[command]
+
+
+def test_suite_table_matches_verify():
+    # every suite names a `verify` function that takes each flag it is given
+    import inspect
+
+    from schurwin import verify
+    from schurwin.cli import _SUITES
+
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for suite, (name, flags) in _SUITES.items():
+        params = inspect.signature(getattr(verify, name)).parameters
+        for flag in flags:
+            assert flag in params and params[flag].kind in keyword, (suite, flag)
+
+
+def _matrix_argvs():
+    """Every command in every format at three (d, r), errors included; only
+    argv that argparse accepts, so all the text comes from schurwin."""
+    for d, r in ((4, 2), (5, 2), (4, 0)):
+        dr = ["--d", str(d), "--r", str(r)]
+        for fmt in ("text", "json", "latex"):
+            for k in ("-1", "0", "1"):
+                yield ["windows", *dr, "--k", k, "--format", fmt]
+            for delta in ("", "1", "2,1", "9"):
+                yield ["staircase", *dr, "--delta", delta, "--format", fmt]
+                yield ["staircase", *dr, "--delta", delta, "--sequence", "--format", fmt]
+            for gen in ("", "3,1", "2,2", "3,2,1"):
+                yield ["shift", *dr, "--from", "2", "--to", "-1", "--gen", gen, "--format", fmt]
+                yield ["twist", *dr, "--gen", gen, "--keep-det", "--format", fmt]
+        for fmt in ("text", "json", "csv"):
+            for a, b in (("1", "0"), ("-1", "1")):
+                yield ["matrix", *dr, "--from", a, "--to", b, "--format", fmt]
+        for fmt in ("text", "json"):
+            for suite in ("exactness", "euler", "tilting", "relations", "regression"):
+                for extra in ([], ["--delta", "1"], ["--seed", "2", "--samples", "1"]):
+                    yield ["verify", suite, *dr, *extra, "--format", fmt]
+
+
+def test_output_matrix_digest(capsys):
+    # one SHA-256 over (argv, stdout, stderr, exit code) of each call, so any
+    # change to what a command prints or returns shows here
+    argvs = list(_matrix_argvs())
+    assert len(argvs) == 279
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, out, err, code], ensure_ascii=False).encode() + b"\n")
+    assert digest.hexdigest() == "61c9743b4507f3acda471b1ea14616091d123c445a01010433c2c5e0c7f22f78"
 
 
 def test_version_flag(capsys):
@@ -208,7 +369,7 @@ def test_latex_output(capsys):
 
 
 def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
-    import schurwin.cli as cli
+    import schurwin.verify
     from schurwin.verify import VerificationReport
 
     def failing(ctx, delta=None, samples=3, seed=0):
@@ -217,7 +378,7 @@ def test_verify_failure_maps_to_exit_1(capsys, monkeypatch):
             counterexample={"delta": [1]}, note="stubbed failure",
         )
 
-    monkeypatch.setattr(cli, "verify_localization", failing)
+    monkeypatch.setattr(schurwin.verify, "verify_localization", failing)
     code = main(["verify", "exactness", "--d", "3", "--r", "1"])
     out = capsys.readouterr().out
     assert code == 1

@@ -234,13 +234,22 @@ def test_tensor_gl_known_values():
     assert tensor_gl(1, (4,), (-7,)).terms == {(-3,): 1}
 
 
+def _det_shifted(e, r, c):
+    """The expansion `e` tensored with det^c, i.e. every key shifted by c."""
+    return e.multiply(SchurExpansion({(c,) * r: 1}, rank=r))
+
+
 def test_tensor_gl_shift_independent():
+    # translating one weight by c*(1,...,1) translates every term by c
     rng = random.Random(3)
     for _ in range(30):
         r = rng.randint(1, 3)
         u = tuple(sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True))
         v = tuple(sorted((rng.randint(-4, 4) for _ in range(r)), reverse=True))
-        assert tensor_gl(r, u, v) == tensor_gl(r, u, v, extra_shift=1)
+        c = rng.choice((-3, -1, 1, 2))
+        shifted = _det_shifted(tensor_gl(r, u, v), r, c)
+        assert tensor_gl(r, tuple(x + c for x in u), v) == shifted
+        assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
 
 
 def test_tensor_gl_rank_zero():
@@ -453,6 +462,8 @@ def test_tensor_gl_memo_and_translation_independent():
         assert tensor_gl(r, tuple(x - 2 for x in u), v, memo=memo) == plain.multiply(
             SchurExpansion({(-2,) * r: 1}, rank=r)
         )
+        c = rng.randint(1, 3)
+        shifted = _det_shifted(plain, r, c)
+        assert tensor_gl(r, u, tuple(x + c for x in v), memo=memo) == shifted
+        assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
         assert len(memo) == size
-        assert tensor_gl(r, u, v, extra_shift=1, memo=memo) == plain
-        assert tensor_gl(r, u, v, extra_shift=1) == plain

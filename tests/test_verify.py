@@ -79,6 +79,13 @@ def test_localization_report_failure_has_witness():
     assert rep.passed  # all mutations caught, so the sweep itself passes
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_mutation_sweep_rejects_rank_zero(d):
+    # r = 0 has no staircase base to corrupt
+    with pytest.raises(ShapeError, match="no staircase bases exist for r = 0"):
+        localization_mutation_sweep(Context(d, 0))
+
+
 def test_mutations_always_change_something():
     ctx = Context(4, 2)
     rng = random.Random(9)
