@@ -6,6 +6,7 @@ function, so everything is safe to share across threads.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 
@@ -191,18 +192,8 @@ def box_partitions(rows: int, cols: int) -> list[Partition]:
     """All partitions in a rows x cols box, in graded lexicographic order."""
     if rows < 0 or cols < 0:
         raise ShapeError("box dimensions must be non-negative")
-    shapes: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], depth: int, maxpart: int):
-        shapes.append(prefix)
-        if depth == rows:
-            return
-        for p in range(1, maxpart + 1):
-            grow(prefix + (p,), depth + 1, p)
-
-    grow((), 0, cols)
-    shapes.sort(key=graded_lex_key)
-    return [Partition(s) for s in shapes]
+    shapes = combinations_with_replacement(range(cols, -1, -1), rows)
+    return [Partition(s) for s in sorted(shapes, key=graded_lex_key)]
 
 
 def parse_int_tuple(text: str) -> tuple[int, ...]:

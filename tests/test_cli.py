@@ -40,6 +40,12 @@ def test_windows_text(capsys):
     assert out.splitlines() == ["O", "S∨(1,0)", "S∨(1,1)", "S∨(2,0)", "S∨(2,1)", "S∨(2,2)"]
 
 
+def test_windows_tall_box(capsys):
+    code, out, _ = run(capsys, "windows", "--d", "1001", "--r", "1000")
+    assert code == 0
+    assert len(out.splitlines()) == 1001
+
+
 def test_shift_rows(capsys):
     code, out, _ = run(
         capsys, "shift", "--d", "4", "--r", "2", "--from", "1", "--to", "0", "--gen", "3,3"

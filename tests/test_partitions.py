@@ -130,6 +130,12 @@ def test_box_partitions_count_and_order():
             keys = [(p.size, p.parts) for p in shapes]
             assert keys == sorted(keys)
             assert len(set(shapes)) == len(shapes)
+            assert all(p.fits_box(rows, cols) for p in shapes)
+
+
+def test_box_partitions_tall_box():
+    # one shape per row count: no recursion depth limit on the rows
+    assert len(box_partitions(1000, 1)) == 1001
 
 
 def test_context_validation():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,6 @@ from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
     VerificationReport,
     _localization_counterexample,
-    _relation_failures,
     localization_holds,
     localization_mutation_sweep,
     mutate_steps,
@@ -228,16 +228,38 @@ UNIT_STEP_CORRUPTIONS = {
 }
 
 
+# every product multiplied out, round trips included: the check order that
+# `verify._relation_failures` keeps while it skips what the unit-step fold decides
+def _frozen_relation_failures(mats, dets, ks):
+    """Every failed relation among the K-matrices, in the order checked."""
+    for k in ks:
+        if not mats[(k, k)].is_identity():
+            yield {"relation": "identity", "k": k}
+    for k, l in mats:
+        if dets[(k, l)] not in (-1, 1):
+            yield {"relation": "unimodular", "k": k, "l": l, "det": dets[(k, l)]}
+    for k, l, m in product(ks, repeat=3):
+        if (mats[(k, l)] @ mats[(l, m)]).entries != mats[(k, m)].entries:
+            yield {"relation": "composition", "k": k, "l": l, "m": m}
+    for k, l, shift in product(ks, repeat=3):
+        if k + shift in ks and l + shift in ks:
+            if mats[(k + shift, l + shift)].entries != mats[(k, l)].entries:
+                yield {"relation": "det-conjugation", "k": k, "l": l, "shift": shift}
+    for k, l in product(ks, repeat=2):
+        if not (mats[(k, l)] @ mats[(l, k)]).is_identity():
+            yield {"relation": "round-trip", "k": k, "l": l}
+
+
 def _reference_relations(ctx, k_range):
-    """First failure with every K-matrix built on its own and every
-    determinant taken densely, in the order `_relation_failures` checks."""
+    """First failure with every K-matrix built on its own, every determinant
+    taken densely and every product multiplied out."""
     ks = sorted(k_range)
     mats = {(k, l): shifts.k_matrix(ctx, k, l) for k in ks for l in ks}
     dets = {kl: shifts.int_determinant(m.entries) for kl, m in mats.items()}
-    return next(_relation_failures(mats, dets, ks), None)
+    return next(_frozen_relation_failures(mats, dets, ks), None)
 
 
-@pytest.mark.parametrize("d, r", [(4, 2), (5, 2), (6, 3)])
+@pytest.mark.parametrize("d, r", [(4, 2), (5, 2), (6, 3), (7, 3)])
 @pytest.mark.parametrize("name", list(UNIT_STEP_CORRUPTIONS))
 def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d, r):
     corrupt, first_failure = UNIT_STEP_CORRUPTIONS[name]
@@ -249,13 +271,30 @@ def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d
 
     monkeypatch.setattr(shifts, "_unit_step", step)
     ctx = Context(d, r)
-    for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3)):
+    for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3), range(-4, 4), []):
         expected = _reference_relations(ctx, k_range)
         rep = verify_relations(ctx, k_range)
         assert rep.passed == (expected is None), k_range
         assert rep.counterexample == expected, k_range
         if k_range == range(-2, 3):
             assert (expected or {}).get("relation") == first_failure
+
+
+@pytest.mark.parametrize(
+    "k_range, products", [(range(-2, 3), 72), ([0, 2], 4), ([-3, 0, 3], 24)]
+)
+def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products):
+    # the fold, plus one composition product per triple with l outside [k, m]
+    count = [0]
+    honest = shifts._mat_mul
+
+    def counted(a, b):
+        count[0] += 1
+        return honest(a, b)
+
+    monkeypatch.setattr(shifts, "_mat_mul", counted)
+    assert verify_relations(Context(5, 2), k_range).passed
+    assert count[0] == products
 
 
 @pytest.mark.parametrize("d, r", [(7, 3), (8, 4)])
