@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import Context, Partition, ShapeError, check_weight, dual_weight
-from .symfunc import SchurExpansion, dimension_gl, tensor_gl
+from .symfunc import SchurExpansion, _lr_class, dimension_gl
 
 
 class _HomogeneousWeightFields(NamedTuple):
@@ -126,20 +126,28 @@ def schur_bundle_weight(ctx: Context, delta, dual: bool = False) -> HomogeneousW
 def hom_bundle_cohomology(ctx: Context, gamma, delta, memo=None) -> CohomologyTable:
     """Cohomology of S^(gamma) (x) S^v(delta) = Hom(S^v(gamma), S^v(delta)).
 
-    The tensor product is decomposed into irreducibles over GL(r) (`memo` is
-    passed to `tensor_gl`) and the dotted Weyl action is applied to each
-    summand with zero Q^v weight.
+    `_lr_class` gives the GL(r) LR terms of the pair's translation class
+    (shared through `memo`) and its offset. The dotted Weyl action, with zero
+    Q^v weight, runs on the translated terms once per class and offset; the
+    hits (degree, weight, mult) stay in the memo entry under (d, offset), and
+    each call builds a fresh table from them.
     """
     gamma = gamma if isinstance(gamma, Partition) else Partition(tuple(gamma))
     delta = delta if isinstance(delta, Partition) else Partition(tuple(delta))
-    u = dual_weight(gamma.pad(ctx.r))
-    v = delta.pad(ctx.r)
-    q0 = (0,) * (ctx.d - ctx.r)
+    r, d = ctx.r, ctx.d
+    (terms, by_offset), total = _lr_class(r, dual_weight(gamma.pad(r)), delta.pad(r), memo)
+    hits = by_offset.get((d, total))
+    if hits is None:
+        tail = (0,) * (d - r)  # the Q^v weight
+        hits = by_offset[(d, total)] = []  # one memo may serve several d at this r
+        for key, mult in terms.items():
+            shifted = tuple(x - total for x in key) + (-total,) * (r - len(key))
+            hit = _dotted_weyl(d, shifted + tail)
+            if hit is not None:
+                hits.append((*hit, mult))
     out = CohomologyTable()
-    for key, mult in tensor_gl(ctx.r, u, v, memo=memo).terms.items():
-        hit = _dotted_weyl(ctx.d, key + (0,) * (ctx.r - len(key)) + q0)
-        if hit is not None:
-            out.add(*hit, mult)
+    for hit in hits:
+        out.add(*hit)
     return out
 
 

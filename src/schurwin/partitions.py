@@ -14,6 +14,13 @@ class ShapeError(ValueError):
     """Raised when a partition, weight, or label violates a shape bound."""
 
 
+def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(key)
+    while n and key[n - 1] == 0:
+        n -= 1
+    return key[:n]
+
+
 def _normalized(parts) -> tuple[int, ...]:
     out = tuple(int(p) for p in parts)
     for a, b in zip(out, out[1:]):
@@ -21,9 +28,7 @@ def _normalized(parts) -> tuple[int, ...]:
             raise ShapeError(f"parts not weakly decreasing: {list(out)}")
     if out and out[-1] < 0:
         raise ShapeError(f"negative part in partition: {list(out)}")
-    while out and out[-1] == 0:
-        out = out[:-1]
-    return out
+    return _strip(out)
 
 
 class Partition:

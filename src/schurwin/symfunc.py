@@ -12,14 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .partitions import Partition, ShapeError, check_weight
+from .partitions import Partition, ShapeError, _strip, check_weight
 from .shifts import _bareiss
-
-
-def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
-    while key and key[-1] == 0:
-        key = key[:-1]
-    return key
 
 
 def _pad(key: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -230,28 +224,29 @@ def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     return SchurExpansion._trusted(out, rank)
 
 
-def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
-    """Decompose the GL(r) tensor product of two length-r dominant weights.
-
-    Each weight is translated by a multiple of (1,...,1) so its last entry is
-    0, the two partitions are multiplied by the LR rule truncated at r rows,
-    and the keys are translated back. The LR terms depend only on the
-    translated pair, which is put in a fixed order and looked up in `memo` (a
-    dict the caller owns) when one is given, so a whole translation class
-    shares one LR product.
+def _lr_class(r: int, u, v, memo=None):
+    """Memo entry and offset of the translation class of two checked length-r
+    weights. Each is translated by a multiple of (1,...,1) to end in 0, and the
+    sorted pair keys `memo` (a dict the caller owns). The entry is (LR terms
+    truncated at r rows, a dict where callers keep what they derive per
+    offset); the terms, each less the offset, decompose u (x) v.
     """
-    u = check_weight(u, r)
-    v = check_weight(v, r)
     if r == 0:
-        return SchurExpansion._trusted({(): 1}, 0)
+        return ({(): 1}, {}), 0
     nu, nv = -u[-1], -v[-1]
     pair = tuple(sorted((tuple(x + nu for x in u), tuple(x + nv for x in v))))
-    terms = None if memo is None else memo.get(pair)
-    if terms is None:
-        terms = lr_multiply(Partition(pair[0]), Partition(pair[1]), rank=r).terms
+    entry = None if memo is None else memo.get(pair)
+    if entry is None:
+        entry = (lr_multiply(Partition(pair[0]), Partition(pair[1]), rank=r).terms, {})
         if memo is not None:
-            memo[pair] = terms
-    total = nu + nv
+            memo[pair] = entry
+    return entry, nu + nv
+
+
+def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
+    """Decompose the GL(r) tensor product of two length-r dominant weights:
+    the LR terms `_lr_class` gives for their class, each less the offset."""
+    (terms, _), total = _lr_class(r, check_weight(u, r), check_weight(v, r), memo)
     return SchurExpansion._trusted(
         {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},
         r,

@@ -286,18 +286,26 @@ def verify_tilting(ctx: Context) -> VerificationReport:
 
 
 def _relation_failures(mats, dets, ks):
-    """Every failed relation among the K-matrices, in the order checked.
-    Each M_kl must be the left fold of one set of unit steps: once every M_kk
-    is the identity, M_kl @ M_lm = M_km by associativity for l between k and m."""
+    """Failed relations among the K-matrices, in the order checked; each check
+    assumes the earlier ones passed. Each M_kl is the left fold of one set of
+    unit steps, so with every M_kk the identity, M_kl @ M_lm = M_km for l
+    between k and m. For l beyond a = max(k, m) (or below a = min(k, m)) it
+    reads M_ka @ (M_al @ M_la) @ M_am = M_ka @ M_am, which, with every M
+    unimodular, holds iff the round trip M_al @ M_la is the identity."""
     for k in ks:
         if not mats[(k, k)].is_identity():
             yield {"relation": "identity", "k": k}
     for k, l in mats:
         if dets[(k, l)] not in (-1, 1):
             yield {"relation": "unimodular", "k": k, "l": l, "det": dets[(k, l)]}
+    trips = {}  # (a, l) -> whether M_al @ M_la is the identity
     for k, l, m in product(ks, repeat=3):
-        outside = not min(k, m) <= l <= max(k, m)
-        if outside and (mats[(k, l)] @ mats[(l, m)]).entries != mats[(k, m)].entries:
+        if min(k, m) <= l <= max(k, m):
+            continue
+        a = max(k, m) if l > max(k, m) else min(k, m)
+        if (a, l) not in trips:
+            trips[(a, l)] = (mats[(a, l)] @ mats[(l, a)]).is_identity()
+        if not trips[(a, l)]:
             yield {"relation": "composition", "k": k, "l": l, "m": m}
     for k, l, shift in product(ks, repeat=3):
         if k + shift in ks and l + shift in ks:
@@ -307,8 +315,8 @@ def _relation_failures(mats, dets, ks):
 
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: the identity shift, unimodularity,
-    composition (multiplied only when l lies outside [k, m]; round trips are
-    the compositions k -> l -> k) and det-conjugation. Stops at the first failure.
+    composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
+    and det-conjugation. Stops at the first failure.
 
     Each unit step U is built once per direction and M_kl is their left fold.
     det M_kl is the product of the det U on its way, each taken exactly from

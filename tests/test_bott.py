@@ -1,7 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
+import schurwin.bott as bott
 from schurwin.bott import (
     CohomologyTable,
     HomogeneousWeight,
@@ -11,8 +13,8 @@ from schurwin.bott import (
     schur_bundle_weight,
     serre_dual,
 )
-from schurwin.partitions import Context, Partition, ShapeError, box_partitions
-from schurwin.symfunc import dimension_gl
+from schurwin.partitions import Context, Partition, ShapeError, box_partitions, dual_weight
+from schurwin.symfunc import dimension_gl, lr_multiply
 
 
 def line_bundle_on_p1(w):
@@ -164,3 +166,75 @@ def test_hom_bundle_shared_memo_matches_fresh_calls():
                 ctx, gamma, delta
             )
     assert len(memo) == 55
+
+
+def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
+    # Hom(S^v(gamma), S^v(delta)) depends only on the translated, sorted weight
+    # pair and the total offset: the dotted Weyl action runs once per LR term
+    # of each such key, not once per term of every box pair
+    ctx = Context(6, 3)
+    shapes = box_partitions(ctx.r, ctx.d - ctx.r)
+    terms, keys, per_pair = {}, set(), 0
+    for gamma, delta in product(shapes, repeat=2):
+        u, v = dual_weight(gamma.pad(ctx.r)), delta.pad(ctx.r)
+        pair = tuple(sorted((tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v))))
+        if pair not in terms:
+            terms[pair] = len(lr_multiply(pair[0], pair[1], rank=ctx.r).terms)
+        keys.add((pair, -u[-1] - v[-1]))
+        per_pair += terms[pair]
+    assert (len(shapes) ** 2, len(terms), len(keys)) == (400, 55, 165)
+    calls = [0]
+    honest = bott._dotted_weyl
+
+    def counted(d, lam):
+        calls[0] += 1
+        return honest(d, lam)
+
+    monkeypatch.setattr(bott, "_dotted_weyl", counted)
+    memo = {}
+    for gamma, delta in product(shapes, repeat=2):
+        hom_bundle_cohomology(ctx, gamma, delta, memo)
+    assert calls[0] == sum(terms[pair] for pair, _ in keys) < per_pair
+
+
+def test_hom_bundle_memo_hit_returns_a_fresh_table():
+    ctx = Context(4, 2)
+    memo = {}
+    for gamma, delta in [((1,), (1,)), ((), (2, 1)), ((1,), (2, 1))]:
+        gamma, delta = Partition(gamma), Partition(delta)
+        expected = hom_bundle_cohomology(ctx, gamma, delta)
+        assert not expected.is_zero()
+        for _ in range(2):  # a miss, then a hit on the same memo entry
+            table = hom_bundle_cohomology(ctx, gamma, delta, memo)
+            assert table == expected
+            for row in table.groups.values():
+                row[(9, 9, 9, 9)] = 1
+            table.add(2, (0, 0, 0, 0))
+    # a det twist of both factors is a hit on a mutated class and offset
+    classes = len(memo)
+    twisted = Partition((2, 1)), Partition((3, 2))
+    assert hom_bundle_cohomology(ctx, *twisted, memo) == hom_bundle_cohomology(ctx, *twisted)
+    assert len(memo) == classes
+
+
+def test_hom_bundle_memo_shared_across_d():
+    # the LR terms depend on r alone, the Bott hits on d as well
+    memo = {}
+    shapes = box_partitions(2, 2)
+    for d in (4, 5, 6, 4):
+        ctx = Context(d, 2)
+        for gamma, delta in product(shapes, repeat=2):
+            assert hom_bundle_cohomology(ctx, gamma, delta, memo) == hom_bundle_cohomology(
+                ctx, gamma, delta
+            )
+
+
+@pytest.mark.parametrize("d, r", [(7, 3), (7, 4)])
+def test_hom_bundle_memo_matches_fresh_calls_larger(d, r):
+    ctx = Context(d, r)
+    shapes = box_partitions(ctx.r, ctx.d - ctx.r)
+    memo = {}
+    for gamma, delta in product(shapes, repeat=2):
+        assert hom_bundle_cohomology(ctx, gamma, delta, memo) == hom_bundle_cohomology(
+            ctx, gamma, delta
+        )
