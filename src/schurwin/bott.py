@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import Context, Partition, ShapeError, check_weight, dual_weight
-from .symfunc import SchurExpansion, _lr_class, dimension_gl
+from .symfunc import SchurExpansion, _lr_class, _translated, dimension_gl
 
 
 class _HomogeneousWeightFields(NamedTuple):
@@ -123,26 +123,39 @@ def schur_bundle_weight(ctx: Context, delta, dual: bool = False) -> HomogeneousW
     return HomogeneousWeight(w, (0,) * (ctx.d - ctx.r))
 
 
-def hom_bundle_cohomology(ctx: Context, gamma, delta, memo=None) -> CohomologyTable:
+def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[tuple[int, ...], int]:
+    """`shape` padded to length r, dualised if `dual`, `_translated`; kept in `weights`."""
+    shape = shape if isinstance(shape, Partition) else Partition(tuple(shape))
+    key = (shape.parts, r, dual)
+    hit = weights.get(key)
+    if hit is None:
+        hit = weights[key] = _translated(dual_weight(shape.pad(r)) if dual else shape.pad(r))
+    return hit
+
+
+def hom_bundle_cohomology(
+    ctx: Context, gamma, delta, memo=None, steps=None, weights=None
+) -> CohomologyTable:
     """Cohomology of S^(gamma) (x) S^v(delta) = Hom(S^v(gamma), S^v(delta)).
 
-    `_lr_class` gives the GL(r) LR terms of the pair's translation class
-    (shared through `memo`) and its offset. The dotted Weyl action, with zero
-    Q^v weight, runs on the translated terms once per class and offset; the
-    hits (degree, weight, mult) stay in the memo entry under (d, offset), and
-    each call builds a fresh table from them.
+    `weights`, `memo` and `steps` are dicts the caller owns. `weights` keeps
+    each shape's translated weight; `_lr_class` gives the GL(r) LR terms of
+    the pair's translation class (shared through `memo` and `steps`). The
+    dotted Weyl action, with zero Q^v weight, runs on the terms less the
+    offset once per class and offset; the hits (degree, weight, mult) stay in
+    the memo entry under (d, offset), and each call builds a fresh table.
     """
-    gamma = gamma if isinstance(gamma, Partition) else Partition(tuple(gamma))
-    delta = delta if isinstance(delta, Partition) else Partition(tuple(delta))
     r, d = ctx.r, ctx.d
-    (terms, by_offset), total = _lr_class(r, dual_weight(gamma.pad(r)), delta.pad(r), memo)
+    weights = {} if weights is None else weights
+    (u, nu), (v, nv) = _box_weight(weights, gamma, r, True), _box_weight(weights, delta, r, False)
+    terms, by_offset = _lr_class(r, u, v, memo, steps)
+    total = nu + nv
     hits = by_offset.get((d, total))
     if hits is None:
         tail = (0,) * (d - r)  # the Q^v weight
         hits = by_offset[(d, total)] = []  # one memo may serve several d at this r
         for key, mult in terms.items():
-            shifted = tuple(x - total for x in key) + (-total,) * (r - len(key))
-            hit = _dotted_weyl(d, shifted + tail)
+            hit = _dotted_weyl(d, tuple(x - total for x in key + (0,) * (r - len(key))) + tail)
             if hit is not None:
                 hits.append((*hit, mult))
     out = CohomologyTable()

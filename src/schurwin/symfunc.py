@@ -4,13 +4,18 @@ Products are computed by the Littlewood-Richardson tableau rule (exact integer
 coefficients, no floating point anywhere). Evaluation clears denominators and
 takes the Jacobi-Trudi determinant over the integers by Bareiss elimination;
 Jacobi-Trudi stays well defined at points with repeated coordinates, and the
-bialternant ratio is never used. Nothing is cached between calls.
+bialternant ratio is never used. Coefficients and scalars are integers: a
+float or Fraction raises TypeError instead of being truncated. Nothing is
+cached between calls unless the caller passes its own table: `memo` for the
+LR terms of each translation class, `steps` for the LR strip-DP transitions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm, prod
+from operator import index
 
 from .partitions import Partition, ShapeError, _strip, check_weight
 from .shifts import _bareiss
@@ -34,7 +39,6 @@ class SchurExpansion:
     __hash__ = None
 
     def __init__(self, terms=None, rank: int | None = None):
-        self.rank = rank
         data: dict[tuple[int, ...], int] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -47,12 +51,14 @@ class SchurExpansion:
                 if key and key[-1] < 0 and len(key) < rank:
                     raise ShapeError(f"weight {list(key)} is not dominant at rank {rank}")
                 if coeff:
-                    data[key] = data.get(key, 0) + int(coeff)
-        self.terms = {k: c for k, c in data.items() if c}
+                    data[key] = data.get(key, 0) + index(coeff)
+        self.rank, self.terms = rank, SchurExpansion._trusted(data, rank).terms
 
     @classmethod
     def _trusted(cls, terms: dict, rank: int | None) -> "SchurExpansion":
         """Build from keys the library made itself: stripped and valid."""
+        if rank is not None and index(rank) < 0:  # a float rank raises TypeError
+            raise ShapeError(f"rank must be non-negative, got {rank}")
         self = cls.__new__(cls)
         self.rank = rank
         self.terms = {k: c for k, c in terms.items() if c}
@@ -91,9 +97,8 @@ class SchurExpansion:
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "SchurExpansion":
-        return SchurExpansion._trusted(
-            {k: int(scalar * c) for k, c in self.terms.items()}, self.rank
-        )
+        scalar = index(scalar)  # a float or Fraction raises TypeError, never truncates
+        return SchurExpansion._trusted({k: scalar * c for k, c in self.terms.items()}, self.rank)
 
     def multiply(self, other: "SchurExpansion") -> "SchurExpansion":
         """Full product, term by term through the LR rule."""
@@ -124,7 +129,7 @@ def _strip_extensions(shape, size, prev_cum, rank):
     max_rows = len(shape) + 1
     if rank is not None:
         max_rows = min(max_rows, rank)
-    counts = [0] * max_rows
+    counts, ext = [0] * max_rows, shape + (0,)
     results = []
 
     def rec(row, remaining, placed):
@@ -133,19 +138,13 @@ def _strip_extensions(shape, size, prev_cum, rank):
             return
         if row >= max_rows:
             return
-        here = shape[row] if row < len(shape) else 0
         if row == 0:
-            cap = remaining
+            cap = remaining if prev_cum is None else 0
         else:
-            above = shape[row - 1] if row - 1 < len(shape) else 0
-            cap = above - here
-        if prev_cum is not None:
-            if row == 0:
-                cap = 0
-            else:
-                cap = min(cap, prev_cum[min(row - 1, len(prev_cum) - 1)] - placed)
-        cap = min(cap, remaining)
-        for n in range(cap, -1, -1):
+            cap = ext[row - 1] - ext[row]
+            if prev_cum is not None:
+                cap = min(cap, prev_cum[row - 1] - placed)
+        for n in range(min(cap, remaining), -1, -1):
             counts[row] = n
             rec(row + 1, remaining - n, placed + n)
         counts[row] = 0
@@ -155,12 +154,8 @@ def _strip_extensions(shape, size, prev_cum, rank):
 
 
 def _bump(shape, counts):
-    n = len(shape)
-    rows = max([n] + [i + 1 for i, c in enumerate(counts) if c])
-    return tuple(
-        (shape[i] if i < n else 0) + (counts[i] if i < len(counts) else 0)
-        for i in range(rows)
-    )
+    """`shape` with counts[i] boxes added to row i; counts covers every row."""
+    return _strip(tuple(p + c for p, c in zip(_pad(shape, len(counts)), counts)))
 
 
 def _add_column(shape, k, rank):
@@ -184,13 +179,14 @@ def _add_column(shape, k, rank):
     return out
 
 
-def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
+def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     """Schur product s_a * s_b by Littlewood-Richardson tableau enumeration.
 
     Keys with more than `rank` rows are truncated away (they vanish in rank
     variables). Commutative; the smaller diagram is used as the filling. When
     either factor is a single column the Pieri rule adds it as a vertical
-    strip directly.
+    strip directly. `steps`, a dict the caller owns, keeps each DP state's
+    successors under (state, letter size, rank) across products.
     """
     a = a if isinstance(a, Partition) else Partition(tuple(a))
     b = b if isinstance(b, Partition) else Partition(tuple(b))
@@ -203,20 +199,21 @@ def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     if b.parts[:1] == (1,):
         return SchurExpansion._trusted(_add_column(a.parts, len(b), rank), rank)
     # state: (shape so far, cumulative row counts of the last letter placed)
-    states: dict[tuple[tuple[int, ...], tuple[int, ...] | None], int] = {
-        (a.parts, None): 1
-    }
+    states: dict = {(a.parts, None): 1}
+    steps = {} if steps is None else steps
     for letter_size in b.parts:
         new_states: dict = {}
-        for (shape, prev_cum), mult in states.items():
-            for counts in _strip_extensions(shape, letter_size, prev_cum, rank):
-                new_shape = _bump(shape, counts)
-                cum, total = [], 0
-                for i in range(len(new_shape)):
-                    total += counts[i] if i < len(counts) else 0
-                    cum.append(total)
-                key = (new_shape, tuple(cum))
-                new_states[key] = new_states.get(key, 0) + mult
+        for state, mult in states.items():
+            key = (state, letter_size, rank)
+            successors = steps.get(key)
+            if successors is None:
+                shape, prev_cum = state
+                successors = steps[key] = []
+                for counts in _strip_extensions(shape, letter_size, prev_cum, rank):
+                    new_shape = _bump(shape, counts)
+                    successors.append((new_shape, tuple(accumulate(counts[: len(new_shape)]))))
+            for nxt in successors:
+                new_states[nxt] = new_states.get(nxt, 0) + mult
         states = new_states
     out: dict[tuple[int, ...], int] = {}
     for (shape, _), mult in states.items():
@@ -224,29 +221,36 @@ def lr_multiply(a, b, rank: int | None = None) -> SchurExpansion:
     return SchurExpansion._trusted(out, rank)
 
 
-def _lr_class(r: int, u, v, memo=None):
-    """Memo entry and offset of the translation class of two checked length-r
-    weights. Each is translated by a multiple of (1,...,1) to end in 0, and the
-    sorted pair keys `memo` (a dict the caller owns). The entry is (LR terms
-    truncated at r rows, a dict where callers keep what they derive per
-    offset); the terms, each less the offset, decompose u (x) v.
+def _translated(w) -> tuple[tuple[int, ...], int]:
+    """The weight plus n * (1,...,1), where n = -w[-1] makes it end in 0, and n
+    (its offset)."""
+    n = -w[-1] if w else 0
+    return tuple(x + n for x in w), n
+
+
+def _lr_class(r: int, u, v, memo=None, steps=None):
+    """Memo entry of the translation class of two `_translated` length-r
+    weights; the sorted pair keys `memo` (a dict the caller owns). The entry
+    is (LR terms truncated at r rows, a dict where callers keep what they
+    derive per offset); the terms, each less the sum of the two offsets,
+    decompose the untranslated tensor product. `steps` goes to `lr_multiply`.
     """
     if r == 0:
-        return ({(): 1}, {}), 0
-    nu, nv = -u[-1], -v[-1]
-    pair = tuple(sorted((tuple(x + nu for x in u), tuple(x + nv for x in v))))
+        return {(): 1}, {}
+    pair = (u, v) if u <= v else (v, u)
     entry = None if memo is None else memo.get(pair)
     if entry is None:
-        entry = (lr_multiply(Partition(pair[0]), Partition(pair[1]), rank=r).terms, {})
+        entry = (lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms, {})
         if memo is not None:
             memo[pair] = entry
-    return entry, nu + nv
+    return entry
 
 
 def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
     """Decompose the GL(r) tensor product of two length-r dominant weights:
-    the LR terms `_lr_class` gives for their class, each less the offset."""
-    (terms, _), total = _lr_class(r, check_weight(u, r), check_weight(v, r), memo)
+    the LR terms `_lr_class` gives for their class, each less the offsets."""
+    (u, nu), (v, nv) = _translated(check_weight(u, r)), _translated(check_weight(v, r))
+    terms, total = _lr_class(r, u, v, memo)[0], nu + nv
     return SchurExpansion._trusted(
         {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},
         r,

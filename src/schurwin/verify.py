@@ -262,8 +262,10 @@ def verify_euler(ctx: Context, delta=None) -> VerificationReport:
 
 def _tilting_failures(ctx: Context, shapes):
     memo: dict = {}  # LR terms per translated weight pair, for this call only
+    steps: dict = {}  # LR strip-DP transitions, shared by this call's products
+    weights: dict = {}  # each shape's translated weight, made once per call
     for gamma, delta in product(shapes, repeat=2):
-        table = hom_bundle_cohomology(ctx, gamma, delta, memo)
+        table = hom_bundle_cohomology(ctx, gamma, delta, memo, steps, weights)
         bad = [deg for deg in table.nonzero_degrees() if deg > 0]
         if bad:
             yield {"gamma": list(gamma.parts), "delta": list(delta.parts), "degrees": bad}

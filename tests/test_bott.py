@@ -15,6 +15,7 @@ from schurwin.bott import (
 )
 from schurwin.partitions import Context, Partition, ShapeError, box_partitions, dual_weight
 from schurwin.symfunc import dimension_gl, lr_multiply
+from schurwin.verify import verify_tilting
 
 
 def line_bundle_on_p1(w):
@@ -238,3 +239,34 @@ def test_hom_bundle_memo_matches_fresh_calls_larger(d, r):
         assert hom_bundle_cohomology(ctx, gamma, delta, memo) == hom_bundle_cohomology(
             ctx, gamma, delta
         )
+
+
+def test_tilting_sweep_translates_each_shape_once(monkeypatch):
+    # C(6,3) = 20 box shapes, each translated once as gamma (dual) and once as
+    # delta, not twice per each of the 400 pairs
+    calls = [0]
+    honest = bott._translated
+
+    def counted(w):
+        calls[0] += 1
+        return honest(w)
+
+    monkeypatch.setattr(bott, "_translated", counted)
+    assert verify_tilting(Context(6, 3)).passed
+    assert calls[0] == 2 * 20
+
+
+def test_hom_bundle_tables_shared_across_contexts():
+    # one `weights` and one `steps` table across several (d, r): the weights
+    # are keyed by r, the DP transitions by rank
+    weights, steps = {}, {}
+    for d, r in [(5, 2), (6, 3), (6, 2), (7, 4), (5, 2)]:
+        ctx = Context(d, r)
+        memo = {}
+        shapes = box_partitions(r, d - r)
+        for gamma, delta in product(shapes, repeat=2):
+            assert hom_bundle_cohomology(
+                ctx, gamma, delta, memo, steps, weights
+            ) == hom_bundle_cohomology(ctx, gamma, delta)
+    assert {r for _, r, _ in weights} == {2, 3, 4}
+    assert {rank for _, _, rank in steps} <= {2, 3, 4}

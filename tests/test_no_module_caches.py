@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import schurwin
 
 PACKAGE = Path(schurwin.__file__).parent
@@ -18,6 +20,25 @@ def _is_empty_container(node):
         and not node.args
         and not node.keywords
     )
+
+
+def _is_mutable_default(node):
+    # any dict, list or set display, or a dict()/list()/set() call
+    return isinstance(node, (ast.Dict, ast.List, ast.Set)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in EMPTY_CALLS
+    )
+
+
+def _mutable_defaults(tree, name):
+    return [
+        f"{name}:{default.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for default in node.args.defaults + node.args.kw_defaults
+        if default is not None and _is_mutable_default(default)
+    ]
 
 
 def _decorator_name(node):
@@ -45,3 +66,34 @@ def test_library_has_no_module_level_caches():
                     if _decorator_name(dec) in CACHE_DECORATORS
                 ]
     assert found == []
+
+
+def test_library_has_no_mutable_default_arguments():
+    # a `steps={}` default would be a table shared by every call for the life
+    # of the process: caller-owned tables default to None
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += _mutable_defaults(ast.parse(path.read_text(), str(path)), path.name)
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(steps={}): pass",
+        "def f(a, memo=[]): pass",
+        "def f(*, seen=set()): pass",
+        "def f(x=dict()): pass",
+        "def f(x=list((1,))): pass",
+        "async def f(x={1: 2}): pass",
+        "class C:\n    def m(self, x=[1]): pass",
+        "g = lambda x={}: x",
+    ],
+)
+def test_mutable_default_guard_catches(source):
+    assert _mutable_defaults(ast.parse(source), "snippet")
+
+
+def test_mutable_default_guard_allows_immutable_defaults():
+    source = "def f(a=None, b=(), c=range(3), d=frozenset(), *, e=0, f='x', g=None): pass"
+    assert _mutable_defaults(ast.parse(source), "snippet") == []

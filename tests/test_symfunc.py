@@ -6,7 +6,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurwin.partitions import Partition, ShapeError
+import schurwin.symfunc as symfunc
+from schurwin.partitions import Partition, ShapeError, box_partitions, dual_weight
 from schurwin.symfunc import (
     SchurExpansion,
     dimension_gl,
@@ -467,3 +468,97 @@ def test_tensor_gl_memo_and_translation_independent():
         assert tensor_gl(r, u, tuple(x + c for x in v), memo=memo) == shifted
         assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
         assert len(memo) == size
+
+
+@pytest.mark.parametrize("scalar", [1.5, Fraction(1, 2), 2.0, Fraction(4, 2)])
+def test_expansion_rejects_a_scalar_that_is_not_an_int(scalar):
+    # exact arithmetic: truncating would make 1.5 * 3 into 4 and 1/2 * 3 into 1
+    e = SchurExpansion({(1,): 3}, rank=2)
+    with pytest.raises(TypeError):
+        scalar * e
+    assert (-2 * e).terms == {(1,): -6}
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), 2.7, 1.0])
+def test_expansion_rejects_a_coefficient_that_is_not_an_int(coeff):
+    # truncating would turn a coefficient 1/2 into no term and 2.7 into 2
+    with pytest.raises(TypeError):
+        SchurExpansion({(1,): coeff}, rank=2)
+    assert SchurExpansion({(1,): True, (2,): 3}, rank=2).terms == {(1,): 1, (2,): 3}
+
+
+def test_negative_rank_rejected():
+    for make in (
+        lambda: lr_multiply((1,), (1,), rank=-1),
+        lambda: lr_multiply((), (), rank=-1),
+        lambda: SchurExpansion({}, rank=-1),
+        lambda: SchurExpansion({(1,): 1}, rank=-2),
+        lambda: elementary_as_schur(1, rank=-1),
+    ):
+        with pytest.raises(ShapeError, match="rank must be non-negative"):
+            make()
+    assert lr_multiply((1,), (1,), rank=0).is_zero()
+    assert lr_multiply((), (), rank=0).terms == {(): 1}
+    for rank in (1.5, Fraction(2)):
+        with pytest.raises(TypeError):
+            SchurExpansion({(1,): 1}, rank=rank)
+        with pytest.raises(TypeError):
+            lr_multiply((2, 1), (2, 1), rank=rank)
+
+
+def _random_partition(rng, rows, cols):
+    return tuple(sorted((rng.randint(1, cols) for _ in range(rng.randint(0, rows))), reverse=True))
+
+
+def test_shared_steps_table_matches_fresh_products():
+    # one table across rank None, ranks 1-6 and factors longer than the rank
+    rng = random.Random(11)
+    steps = {}
+    for _ in range(600):
+        a, b = _random_partition(rng, 6, 5), _random_partition(rng, 6, 5)
+        rank = rng.choice([None, 1, 2, 3, 4, 5, 6])
+        assert lr_multiply(a, b, rank, steps) == lr_multiply(a, b, rank=rank), (a, b, rank)
+    assert steps
+    assert {rank for _, _, rank in steps} == {None, 1, 2, 3, 4, 5, 6}
+
+
+def test_shared_steps_table_matches_fresh_products_on_tilting_classes():
+    # one table across every class pair `verify_tilting` multiplies at (7,3)
+    # and (8,4): each box shape's dual and plain weight, translated to end in 0
+    steps, classes = {}, 0
+    for d, r in [(7, 3), (8, 4)]:
+        shapes = box_partitions(r, d - r)
+        duals = {tuple(x - w[-1] for x in w) for w in (dual_weight(p.pad(r)) for p in shapes)}
+        plains = {tuple(x - w[-1] for x in w) for w in (p.pad(r) for p in shapes)}
+        pairs = {tuple(sorted(pair)) for pair in product(duals, plains)}
+        for u, v in sorted(pairs):
+            assert lr_multiply(u, v, r, steps) == lr_multiply(u, v, rank=r), (d, r, u, v)
+        classes += len(pairs)
+    assert classes == 120 + 630
+    assert steps
+
+
+def test_lr_multiply_without_a_table_leaves_no_state(monkeypatch):
+    # each call without `steps` starts from nothing: a repeated product redoes
+    # every strip extension, and the signature keeps no table as a default
+    calls = [0]
+    honest = symfunc._strip_extensions
+
+    def counted(*args):
+        calls[0] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(symfunc, "_strip_extensions", counted)
+    assert lr_multiply.__defaults__ == (None, None)
+    counts = []
+    for _ in range(3):
+        calls[0] = 0
+        lr_multiply((4, 3, 1), (3, 2, 2), rank=4)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == counts[2] > 0
+    steps = {}
+    lr_multiply((4, 3, 1), (3, 2, 2), 4, steps)
+    calls[0] = 0
+    lr_multiply((4, 3, 1), (3, 2, 2), 4, steps)
+    assert calls[0] == 0  # every transition of the repeat comes from the table
+    assert lr_multiply.__defaults__ == (None, None)

@@ -393,7 +393,7 @@ def test_tilting_makes_one_lr_product_per_translation_class(monkeypatch, d, r, c
     assert count[0] == calls
 
 
-@pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3), (8, 4), (9, 4)])
+@pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3), (8, 4), (9, 4), (10, 4)])
 def test_tilting_passes_larger(d, r):
     assert verify_tilting(Context(d, r)).passed
 
@@ -425,8 +425,8 @@ def _failing_reports(monkeypatch):
         yield "mutations", V.localization_mutation_sweep(ctx, mutations=2, seed=1)
     honest_hom = V.hom_bundle_cohomology
 
-    def hom_with_ext2(ctx, gamma, delta, memo=None):
-        table = honest_hom(ctx, gamma, delta, memo)
+    def hom_with_ext2(ctx, gamma, delta, *tables):
+        table = honest_hom(ctx, gamma, delta, *tables)
         if (gamma.parts, delta.parts) == ((2, 1), (1,)):
             table.add(2, (0, 0, 0, 0))
         return table
