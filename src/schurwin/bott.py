@@ -81,14 +81,23 @@ class CohomologyTable:
         }
 
 
-def _dotted_weyl(d: int, lam) -> tuple[int, tuple[int, ...]] | None:
-    """(degree, dominant weight) of the dotted Weyl action on a length-d
-    weight, or None when the rho-shifted vector has a repeated entry."""
-    v = [a - i for i, a in enumerate(lam)]  # lam + rho, less the constant d - 1
-    if len(set(v)) != d:
+def _dotted_weyl(s, q) -> tuple[int, tuple[int, ...]] | None:
+    """(degree, dominant weight) of the dotted Weyl action on the weight s + q,
+    or None when the rho-shifted vector has a repeated entry.
+
+    The S^v weight s is dominant, so its block stays strictly decreasing after
+    the rho shift: its entry i has i entries of its own block above it in the
+    sorted vector, and each other entry above it comes from q and is one
+    inversion. So the degree is read off positions, with no pairwise count.
+    """
+    v = [x - i for i, x in enumerate(s + q)]  # (s + q) + rho, less the constant d - 1
+    if len(set(v)) < len(v):
         return None
-    inversions = sum(1 for i in range(d) for j in range(i + 1, d) if v[i] < v[j])
-    return inversions, tuple(a + i for i, a in enumerate(sorted(v, reverse=True)))
+    ordered = sorted(v, reverse=True)
+    position = {x: k for k, x in enumerate(ordered)}
+    r = len(s)
+    inversions = sum(position[x] for x in v[:r]) - r * (r - 1) // 2
+    return inversions, tuple(x + k for k, x in enumerate(ordered))
 
 
 def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
@@ -104,7 +113,7 @@ def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
             f"context needs ({ctx.r}, {ctx.d - ctx.r})"
         )
     table = CohomologyTable()
-    hit = _dotted_weyl(ctx.d, hw.s_part + hw.q_part)
+    hit = _dotted_weyl(hw.s_part, hw.q_part)
     if hit is not None:
         table.add(*hit)
     return table
@@ -155,7 +164,7 @@ def hom_bundle_cohomology(
         tail = (0,) * (d - r)  # the Q^v weight
         hits = by_offset[(d, total)] = []  # one memo may serve several d at this r
         for key, mult in terms.items():
-            hit = _dotted_weyl(d, tuple(x - total for x in key + (0,) * (r - len(key))) + tail)
+            hit = _dotted_weyl(tuple(x - total for x in key + (0,) * (r - len(key))), tail)
             if hit is not None:
                 hits.append((*hit, mult))
     out = CohomologyTable()

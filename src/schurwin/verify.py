@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
+from math import lcm
 
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
@@ -95,39 +96,56 @@ def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
 def _localization_counterexample(ctx, base, steps, points, memo=None):
     """First fixed point where the alternating sum is nonzero, or None.
 
-    `memo` maps (point index, fixed subset, padded diagram) to a Schur value;
-    calls that share one must pass the same `points`.
+    The sum is taken over the integers. With q_t the lcm of the point's
+    denominators, q that of the inverted subset coordinates y, S the largest
+    wedge exponent and M the largest diagram size, term n is the integer
+    (-1)^n e_s(t) q_t^S * schur_at(mu, y) q^|mu| * q^(M - |mu|); a nonzero
+    sum over q_t^S q^M is the residual. `memo` maps (point index, fixed
+    subset, padded diagram) to the integer schur_at(mu, y) q^|mu|; calls that
+    share one must pass the same `points`.
     """
     r, d = ctx.r, ctx.d
     memo = {} if memo is None else memo
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
+    sizes = [sum(mu) for mu in diagrams]
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
+    top_s, top_m = max(wedges), max(sizes)
     for p, t in enumerate(points):
-        es = [elementary_at(t, s) for s in range(d + 1)]
-        coeffs = [(-1) ** n * es[s] for n, s in enumerate(wedges)]
+        es = {s: elementary_at(t, s) for s in set(wedges)}
+        scale = lcm(*(x.denominator for x in t)) ** top_s
+        coeffs = [
+            (-1) ** n * es[s].numerator * (scale // es[s].denominator)
+            for n, s in enumerate(wedges)
+        ]
         inverse = [Fraction(1) / x for x in t]
         for fixed in combinations(range(d), r):
             y = tuple(inverse[i] for i in fixed)
-            total = Fraction(0)
-            for mu, c in zip(diagrams, coeffs):
+            q = lcm(*(x.denominator for x in y))
+            total = 0
+            for mu, size, c in zip(diagrams, sizes, coeffs):
                 key = (p, fixed, mu)
                 value = memo.get(key)
                 if value is None:
-                    value = memo[key] = schur_at(mu, y)
-                total += value * c
-            if total != 0:
+                    v = schur_at(mu, y)
+                    value = memo[key] = v.numerator * (q**size // v.denominator)
+                total += c * value * q ** (top_m - size)
+            if total:
                 return {
                     "delta": list(base.parts),
                     "fixedPoint": [i + 1 for i in fixed],
                     "point": [str(x) for x in t],
-                    "residual": str(total),
+                    "residual": str(Fraction(total, scale * q**top_m)),
                     "steps": [[list(st.delta.parts), st.s] for st in steps],
                 }
     return None
 
 
 def localization_holds(ctx, base, steps, points, memo=None) -> bool:
-    """Fixed-point identity for explicitly given staircase terms."""
+    """Fixed-point identity for explicitly given staircase terms.
+
+    `memo` is as for `_localization_counterexample`: integer numerators, and
+    callers sharing one must pass the same `points`.
+    """
     return _localization_counterexample(ctx, base, steps, points, memo) is None
 
 

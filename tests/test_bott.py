@@ -76,6 +76,30 @@ def test_bwb_dichotomy_on_random_weights():
             assert all(m > 0 for m in row.values())
 
 
+def _sorted_dotted_weyl(lam):
+    """Reference: sort the rho-shifted weight and count its inversions."""
+    d = len(lam)
+    v = [a - i for i, a in enumerate(lam)]
+    if len(set(v)) != d:
+        return None
+    inversions = sum(1 for i in range(d) for j in range(i + 1, d) if v[i] < v[j])
+    return inversions, tuple(a + i for i, a in enumerate(sorted(v, reverse=True)))
+
+
+def test_dotted_weyl_matches_sort_and_count():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(3000):
+        d = rng.randint(0, 9)
+        r = rng.randint(0, d)
+        s = tuple(sorted((rng.randint(-6, 6) for _ in range(r)), reverse=True))
+        q = tuple(sorted((rng.randint(-6, 6) for _ in range(d - r)), reverse=True))
+        hit = bott._dotted_weyl(s, q)
+        assert hit == _sorted_dotted_weyl(s + q)
+        seen.add((hit is None, any(q)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_bwb_shape_mismatch():
     with pytest.raises(ShapeError):
         bwb(Context(3, 1), HomogeneousWeight((0, 0), (0,)))
@@ -187,9 +211,9 @@ def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     calls = [0]
     honest = bott._dotted_weyl
 
-    def counted(d, lam):
+    def counted(*args):
         calls[0] += 1
-        return honest(d, lam)
+        return honest(*args)
 
     monkeypatch.setattr(bott, "_dotted_weyl", counted)
     memo = {}

@@ -1,7 +1,8 @@
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -370,7 +371,57 @@ def test_localization_memo_shared_across_calls():
         assert localization_holds(ctx, base, steps, points, memo)
     assert memo
     for (p, fixed, mu), value in memo.items():
-        assert value == schur_at(mu, tuple(1 / points[p][i] for i in fixed))
+        y = tuple(1 / points[p][i] for i in fixed)
+        q = lcm(*(x.denominator for x in y))
+        assert type(value) is int
+        assert value == schur_at(mu, y) * q ** sum(mu)
+
+
+def _fraction_counterexample(ctx, base, steps, points):
+    """Reference: each fixed point's alternating sum built term by term in
+    Fractions, with no memo."""
+    r, d = ctx.r, ctx.d
+    diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
+    wedges = [0] + [st.s for st in steps]
+    for t in points:
+        coeffs = [(-1) ** n * elementary_at(t, s) for n, s in enumerate(wedges)]
+        for fixed in combinations(range(d), r):
+            y = tuple(1 / t[i] for i in fixed)
+            total = Fraction(0)
+            for mu, c in zip(diagrams, coeffs):
+                total += schur_at(mu, y) * c
+            if total != 0:
+                return {
+                    "delta": list(base.parts),
+                    "fixedPoint": [i + 1 for i in fixed],
+                    "point": [str(x) for x in t],
+                    "residual": str(total),
+                    "steps": [[list(st.delta.parts), st.s] for st in steps],
+                }
+    return None
+
+
+def test_localization_integer_sum_matches_fraction_reference():
+    # the integer sum over one common denominator per fixed point must give
+    # the Fraction sum's counterexample, residual string included, with a
+    # fresh memo and with one memo shared by every call of a cell
+    caught = 0
+    for d, r in [(3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]:
+        ctx = Context(d, r)
+        rng = random.Random(100 * d + r)
+        points = [sample_point(rng, d) for _ in range(2)]
+        bases = admissible_bases(ctx)
+        memo = {}
+        cases = [(b, staircase_diagrams(ctx, b).steps) for b in bases[:2]]
+        for _ in range(55):
+            base = bases[rng.randrange(len(bases))]
+            cases.append((base, mutate_steps(rng, ctx, staircase_diagrams(ctx, base).steps)))
+        for base, steps in cases:
+            expected = _fraction_counterexample(ctx, base, steps, points)
+            assert _localization_counterexample(ctx, base, steps, points) == expected
+            assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+            caught += expected is not None
+    assert caught >= 300
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
