@@ -1,13 +1,14 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
 Products are computed by the Littlewood-Richardson tableau rule (exact integer
-coefficients, no floating point anywhere). Evaluation clears denominators and
-takes the Jacobi-Trudi determinant over the integers by Bareiss elimination;
-Jacobi-Trudi stays well defined at points with repeated coordinates, and the
-bialternant ratio is never used. Coefficients and scalars are integers: a
-float or Fraction raises TypeError instead of being truncated. Nothing is
-cached between calls unless the caller passes its own table: `memo` for the
-LR terms of each translation class, `steps` for the LR strip-DP transitions.
+coefficients, no floating point anywhere). Evaluation takes the Jacobi-Trudi
+determinant by Bareiss elimination at a point of ints, as given (any other
+point is cleared to b / q first, and a float coordinate raises TypeError);
+it stays well defined at repeated coordinates, with no bialternant ratio.
+Coefficients and scalars are integers: a float or Fraction raises TypeError
+instead of being truncated. Nothing is cached between calls unless the caller
+passes its own table: `memo` for the LR terms of each translation class,
+`steps` for the LR strip-DP transitions.
 """
 
 from __future__ import annotations
@@ -257,15 +258,23 @@ def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
     )
 
 
-def _cleared(xs) -> tuple[list[int], int]:
-    """Integers b and a common denominator q with xs = b / q."""
+def _rational(x) -> Fraction:
+    """x exactly; a float raises TypeError instead of bringing in its rounding."""
+    if isinstance(x, float):
+        raise TypeError(f"coordinate {x!r} is a float; pass an int, Fraction or str")
+    return Fraction(x)
+
+
+def _cleared(point) -> tuple[tuple[int, ...], int]:
+    """Integers b and a common denominator q with point = b / q."""
+    xs = [_rational(x) for x in point]
     q = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (q // x.denominator) for x in xs], q
+    return tuple(x.numerator * (q // x.denominator) for x in xs), q
 
 
 def elementary_at(point, s: int) -> Fraction:
     """Exact value of the elementary symmetric polynomial e_s at the point."""
-    bs, q = _cleared([Fraction(x) for x in point])
+    bs, q = _cleared(point)
     if s < 0 or s > len(bs):
         return Fraction(0)
     es = [1] + [0] * s
@@ -275,64 +284,56 @@ def elementary_at(point, s: int) -> Fraction:
     return Fraction(es[s], q**s)
 
 
-def schur_at(w, point) -> Fraction:
-    """Evaluate the Schur function of a dominant weight at exact rationals.
+def schur_at(w, point) -> int | Fraction:
+    """Evaluate the Schur function of a dominant weight at an exact point.
 
-    A weight that zero padding leaves non-dominant is straightened first:
-    w -> sort(w + rho) - rho with the sort's sign, or 0 on a repeated entry.
-    Negative weights factor through a power of x_1*...*x_n (all coordinates
-    must then be nonzero). The partition piece is homogeneous, so with the
-    point written as b / q over integers, s_lam(b / q) = s_lam(b) / q^|lam|,
-    and s_lam(b) is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b)
-    taken over the integers. Jacobi-Trudi keeps repeated coordinates safe.
+    A point not all ints is cleared to b / q over the integers (a float
+    coordinate raises TypeError), and s_w(b / q) = s_w(b) / q^|w|. At integer
+    b, a weight that zero padding leaves non-dominant is straightened, w ->
+    sort(w + rho) - rho with the sort's sign, or 0 on a repeated entry;
+    negative weights factor through a power of b_1*...*b_n (all nonzero); a
+    partition is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b) over the
+    integers, safe at repeated coordinates: an int at a point of ints.
     """
-    xs = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+    xs = tuple(point)
     w = _strip(check_weight(w))
+    if not all(type(x) is int for x in xs):
+        bs, q = _cleared(xs)
+        return Fraction(schur_at(w, bs)) / Fraction(q) ** sum(w)
     n = len(xs)
     if len(w) > n:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
+        return 0
+    if not w:
+        return 1
     full = _pad(w, n)
-    if w and w[-1] < 0 and len(w) < n:  # zero padding left full non-dominant
+    if w[-1] < 0 and len(w) < n:  # zero padding left full non-dominant
         beta = [p + n - 1 - i for i, p in enumerate(full)]  # full + rho
         if len(set(beta)) < n:
-            return Fraction(0)
+            return 0
         inversions = sum(a < b for i, a in enumerate(beta) for b in beta[i + 1 :])
         straight = [b - n + 1 + i for i, b in enumerate(sorted(beta, reverse=True))]
         return (-1) ** inversions * schur_at(tuple(straight), xs)
     shift = min(full[-1], 0)
     if shift:
-        if any(x == 0 for x in xs):
+        if 0 in xs:
             raise ZeroDivisionError("negative weight evaluated at a zero coordinate")
-        scale = prod(xs) ** shift
-        return scale * schur_at(tuple(x - shift for x in full), xs)
-    lam = _strip(full)
-    ell = len(lam)
-    if ell == 0:
-        return Fraction(1)
-    bs, q = _cleared(xs)
+        return Fraction(prod(xs)) ** shift * schur_at(tuple(x - shift for x in full), xs)
+    lam, ell = w, len(w)  # w is a partition here
     top = lam[0] + ell - 1
     hs = [1] + [0] * top
-    for b in bs:
+    for b in xs:
         for m in range(1, top + 1):
             hs[m] += b * hs[m - 1]
-    mat = [
-        [hs[lam[i] + j - i] if lam[i] + j - i >= 0 else 0 for j in range(ell)]
-        for i in range(ell)
-    ]
-    return Fraction(_bareiss(mat), q ** sum(lam))
+    mat = [[hs[p + j - i] if p + j >= i else 0 for j in range(ell)] for i, p in enumerate(lam)]
+    return _bareiss(mat)
 
 
 def evaluate(e: SchurExpansion, point) -> Fraction:
     """Exact value of an expansion at a point with rank-many coordinates."""
-    xs = tuple(Fraction(x) for x in point)
+    xs = tuple(map(_rational, point))
     if e.rank is not None and len(xs) != e.rank:
         raise ShapeError(f"point has {len(xs)} coordinates, expansion rank {e.rank}")
-    total = Fraction(0)
-    for key, c in e.terms.items():
-        total += c * schur_at(key, xs)
-    return total
+    return sum((c * schur_at(key, xs) for key, c in e.terms.items()), Fraction(0))
 
 
 def dimension_gl(w, n: int) -> int:

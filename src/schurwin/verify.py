@@ -29,7 +29,7 @@ from .staircase import (
     staircase_diagrams,
     window_bases,
 )
-from .symfunc import SchurExpansion, elementary_at, schur_at
+from .symfunc import SchurExpansion, _cleared, elementary_at, schur_at
 from .windows import enumerate_window
 
 
@@ -97,12 +97,13 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     """First fixed point where the alternating sum is nonzero, or None.
 
     The sum is taken over the integers. With q_t the lcm of the point's
-    denominators, q that of the inverted subset coordinates y, S the largest
-    wedge exponent and M the largest diagram size, term n is the integer
-    (-1)^n e_s(t) q_t^S * schur_at(mu, y) q^|mu| * q^(M - |mu|); a nonzero
-    sum over q_t^S q^M is the residual. `memo` maps (point index, fixed
-    subset, padded diagram) to the integer schur_at(mu, y) q^|mu|; calls that
-    share one must pass the same `points`.
+    denominators, S the largest wedge exponent, M the largest diagram size
+    and the inverted subset coordinates y = b / q over the integers, term n
+    is (-1)^n e_s(t) q_t^S * schur_at(mu, b) q^(M - |mu|); schur_at(mu, b) =
+    schur_at(mu, y) q^|mu|, and a nonzero sum over q_t^S q^M is the residual.
+    `memo`, a dict the caller owns, is bound to `points`: at index p it keeps
+    (the point, {s: e_s(t)}, {fixed subset: (b, q, {padded diagram:
+    schur_at(mu, b)})}); another point at index p raises ShapeError.
     """
     r, d = ctx.r, ctx.d
     memo = {} if memo is None else memo
@@ -111,23 +112,24 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
     top_s, top_m = max(wedges), max(sizes)
     for p, t in enumerate(points):
-        es = {s: elementary_at(t, s) for s in set(wedges)}
+        kept, es, cleared = memo.setdefault(p, (tuple(t), {}, {}))
+        if kept != tuple(t):
+            raise ShapeError(f"memo has point {p} as {[*map(str, kept)]}, not {[*map(str, t)]}")
+        es.update((s, elementary_at(t, s)) for s in set(wedges) - es.keys())
         scale = lcm(*(x.denominator for x in t)) ** top_s
         coeffs = [
             (-1) ** n * es[s].numerator * (scale // es[s].denominator)
             for n, s in enumerate(wedges)
         ]
-        inverse = [Fraction(1) / x for x in t]
         for fixed in combinations(range(d), r):
-            y = tuple(inverse[i] for i in fixed)
-            q = lcm(*(x.denominator for x in y))
+            if fixed not in cleared:
+                cleared[fixed] = (*_cleared([Fraction(1) / t[i] for i in fixed]), {})
+            b, q, values = cleared[fixed]
             total = 0
             for mu, size, c in zip(diagrams, sizes, coeffs):
-                key = (p, fixed, mu)
-                value = memo.get(key)
+                value = values.get(mu)
                 if value is None:
-                    v = schur_at(mu, y)
-                    value = memo[key] = v.numerator * (q**size // v.denominator)
+                    value = values[mu] = schur_at(mu, b)
                 total += c * value * q ** (top_m - size)
             if total:
                 return {
@@ -141,11 +143,8 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
 
 
 def localization_holds(ctx, base, steps, points, memo=None) -> bool:
-    """Fixed-point identity for explicitly given staircase terms.
-
-    `memo` is as for `_localization_counterexample`: integer numerators, and
-    callers sharing one must pass the same `points`.
-    """
+    """Fixed-point identity for explicitly given staircase terms; `memo` is
+    as for `_localization_counterexample`."""
     return _localization_counterexample(ctx, base, steps, points, memo) is None
 
 

@@ -388,6 +388,68 @@ def test_schur_at_more_rows_than_variables():
     assert schur_at((1, 1, 1), (1, 2)) == 0
 
 
+def _random_weight(rng, n):
+    """A weakly decreasing weight of length 0..n+1 with entries in -3..4; a
+    short one ending in a negative entry is non-dominant once zero-padded."""
+    return tuple(sorted((rng.randint(-3, 4) for _ in range(rng.randint(0, n + 1))), reverse=True))
+
+
+def test_schur_at_integer_point_matches_fraction_point():
+    # at a point of ints the Jacobi-Trudi determinant is taken directly; it
+    # must agree with the same point as Fractions and, by homogeneity, with
+    # b / q scaled by q^|w|, and for small partitions with the tableau sum
+    rng = random.Random(15)
+    seen = {"int": 0, "negative": 0, "straightened": 0, "zero division": 0, "oracle": 0}
+    for _ in range(1500):
+        n = rng.randint(0, 6)
+        b = tuple(rng.randint(-4, 4) for _ in range(n))  # repeats and zeros
+        w = _random_weight(rng, n)
+        q = rng.randint(1, 9)
+        as_fractions = tuple(Fraction(x) for x in b)
+        over_q = tuple(Fraction(x, q) for x in b)
+        try:
+            value = schur_at(w, b)
+        except ZeroDivisionError:
+            seen["zero division"] += 1
+            for point in (as_fractions, over_q):
+                with pytest.raises(ZeroDivisionError):
+                    schur_at(w, point)
+            continue
+        assert schur_at(w, as_fractions) == value, (w, b)
+        assert schur_at(w, over_q) * Fraction(q) ** sum(w) == value, (w, b, q)
+        if not w or w[-1] >= 0:
+            assert type(value) is int
+            seen["int"] += 1
+            if n <= 4 and sum(w) <= 6:
+                assert value == monomial_value(ssyt_monomials(w, n), b), (w, b)
+                seen["oracle"] += 1
+        else:
+            seen["negative"] += 1
+            seen["straightened"] += len(w) < n
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda point: schur_at((2, 1), point),
+        lambda point: elementary_at(point, 1),
+        lambda point: evaluate(SchurExpansion({(2, 1): 1}, rank=2), point),
+    ],
+    ids=["schur_at", "elementary_at", "evaluate"],
+)
+def test_float_coordinate_refused(call):
+    # a float's binary value is not the decimal it prints as: 0.1 would
+    # evaluate as 3602879701896397/36028797018963968
+    for point in [(Fraction(1, 3), 0.1), (2, 0.5), (1.0, 2)]:
+        with pytest.raises(TypeError, match="float"):
+            call(point)
+    exact = call((Fraction(1, 3), Fraction(1, 10)))
+    assert call(("1/3", "1/10")) == call((Fraction(1, 3), "0.1")) == exact
+    assert call((2, Fraction(1, 2))) == call((Fraction(2), "1/2"))
+    assert type(exact) is Fraction
+
+
 def test_expansion_arithmetic_and_invariants():
     e = SchurExpansion({(2, 1): 2, (1, 1, 1): -1}, rank=3)
     z = e - e

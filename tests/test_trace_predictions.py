@@ -4,7 +4,10 @@
 (`ACTIVE`: calls > 0) and the layers it must never reach (`IDLE`: 0 calls);
 a traced benchmark run rejects its result when one fails. Here one pass of
 each in-process workload runs under the tracer, so a change that routes work
-around a traced layer fails in the test suite too. Only reads `perfbench/`.
+around a traced layer fails in the test suite too. Each job's output from
+that traced pass is also checked against `perfbench/expected.json`, as a
+benchmark worker checks it, so a change that crashes under the tracer or
+changes output bytes fails here as well. Only reads `perfbench/`.
 """
 
 import sys
@@ -20,10 +23,11 @@ BENCH_MODULES = ("common", "tracer", "workloads")
 def bench():
     sys.path.insert(0, PERFBENCH)
     try:
+        import common
         import tracer
         import workloads
 
-        yield tracer, workloads
+        yield common, tracer, workloads
     finally:
         sys.path.remove(PERFBENCH)
         for name in BENCH_MODULES:
@@ -32,14 +36,20 @@ def bench():
 
 @pytest.mark.parametrize("workload", ["localize", "tilt", "relations"])
 def test_layer_predictions_hold(bench, workload):
-    tracer, workloads = bench
+    common, tracer, workloads = bench
+    job_list = workloads.jobs(workload, 0)
     tr = tracer.Tracer()
     tr.install()
     try:
-        for job in workloads.jobs(workload, 0):
-            job.call()
+        outputs = [job.call() for job in job_list]
     finally:
         tr.uninstall()
+    expected = common.load_expected()
+    problems = [
+        common.job_problem(job.key, job.problem(out), job.canon(out), expected)
+        for job, out in zip(job_list, outputs)
+    ]
+    assert [p for p in problems if p] == []
     calls = tr.layer_metrics(1.0)["_calls"]
     idle_reached = {layer: calls[layer] for layer in tracer.IDLE[workload] if calls.get(layer)}
     assert [layer for layer in tracer.ACTIVE[workload] if not calls.get(layer)] == []

@@ -1,12 +1,13 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
 import pytest
 
-from schurwin import shifts, symfunc
+from schurwin import shifts, symfunc, verify
 from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
@@ -369,12 +370,72 @@ def test_localization_memo_shared_across_calls():
     for base in admissible_bases(ctx):
         steps = staircase_diagrams(ctx, base).steps
         assert localization_holds(ctx, base, steps, points, memo)
-    assert memo
-    for (p, fixed, mu), value in memo.items():
-        y = tuple(1 / points[p][i] for i in fixed)
-        q = lcm(*(x.denominator for x in y))
-        assert type(value) is int
-        assert value == schur_at(mu, y) * q ** sum(mu)
+    assert sorted(memo) == [0, 1]
+    for p, (t, es, cleared) in memo.items():
+        assert t == points[p]
+        assert es
+        for s, value in es.items():
+            assert value == elementary_at(t, s)
+        assert sorted(cleared) == list(combinations(range(4), 2))
+        for fixed, (b, q, values) in cleared.items():
+            y = tuple(1 / t[i] for i in fixed)
+            assert q == lcm(*(x.denominator for x in y))
+            assert b == tuple(x * q for x in y)
+            assert values
+            for mu, value in values.items():
+                assert type(value) is int
+                assert value == schur_at(mu, y) * q ** sum(mu)
+
+
+def test_localization_memo_bound_to_its_points():
+    ctx = Context(4, 2)
+    rng = random.Random(3)
+    first = [sample_point(rng, 4) for _ in range(2)]
+    second = [first[0], sample_point(rng, 4)]
+    base = admissible_bases(ctx)[0]
+    steps = staircase_diagrams(ctx, base).steps
+    memo = {}
+    assert localization_holds(ctx, base, steps, first, memo)
+    shown = f"point 1 as {[str(x) for x in first[1]]}, not {[str(x) for x in second[1]]}"
+    with pytest.raises(ShapeError, match=re.escape(shown)):
+        localization_holds(ctx, base, steps, second, memo)
+    # the same points, or a prefix of them, may share the memo
+    assert localization_holds(ctx, base, steps, first, memo)
+    assert localization_holds(ctx, base, steps, first[:1], memo)
+
+
+def test_localization_evaluates_each_value_once(monkeypatch):
+    # one memo over every base of (6,3): one schur_at call per (point, fixed
+    # subset, diagram), at an integer point, and one elementary_at per (point, s)
+    ctx = Context(6, 3)
+    rng = random.Random(6)
+    points = [sample_point(rng, 6) for _ in range(3)]
+    schur_args, e_args = [], []
+
+    def counted_schur(*args):
+        schur_args.append(args)
+        return schur_at(*args)
+
+    def counted_elementary(t, s):
+        e_args.append((points.index(t), s))
+        return elementary_at(t, s)
+
+    monkeypatch.setattr(verify, "schur_at", counted_schur)
+    monkeypatch.setattr(verify, "elementary_at", counted_elementary)
+    memo, values, wedges = {}, set(), set()
+    for base in admissible_bases(ctx):
+        steps = staircase_diagrams(ctx, base).steps
+        assert localization_holds(ctx, base, steps, points, memo)
+        diagrams = [base.pad(3)] + [st.delta.pad(3) for st in steps]
+        for p, fixed in product(range(3), combinations(range(6), 3)):
+            values.update((p, fixed, mu) for mu in diagrams)
+        wedges.update((p, s) for p in range(3) for s in [0] + [st.s for st in steps])
+    assert len(schur_args) == len(values) == len(set(schur_args))
+    for args in schur_args:
+        hash(args)
+        assert [type(a) for a in args] == [tuple, tuple]
+        assert {type(x) for x in args[0] + args[1]} == {int}
+    assert sorted(e_args) == sorted(wedges)
 
 
 def _fraction_counterexample(ctx, base, steps, points):
