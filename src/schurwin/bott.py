@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import Context, Partition, ShapeError, check_weight, dual_weight
-from .symfunc import SchurExpansion, _lr_class, _translated, dimension_gl
+from .partitions import (
+    Context, Partition, ShapeError, _dotted_weyl, _translated, check_weight, dual_weight
+)
+from .symfunc import SchurExpansion, _lr_class, dimension_gl
 
 
 class _HomogeneousWeightFields(NamedTuple):
@@ -79,25 +81,6 @@ class CohomologyTable:
             ]
             for deg, row in sorted(self.groups.items())
         }
-
-
-def _dotted_weyl(s, q) -> tuple[int, tuple[int, ...]] | None:
-    """(degree, dominant weight) of the dotted Weyl action on the weight s + q,
-    or None when the rho-shifted vector has a repeated entry.
-
-    The S^v weight s is dominant, so its block stays strictly decreasing after
-    the rho shift: its entry i has i entries of its own block above it in the
-    sorted vector, and each other entry above it comes from q and is one
-    inversion. So the degree is read off positions, with no pairwise count.
-    """
-    v = [x - i for i, x in enumerate(s + q)]  # (s + q) + rho, less the constant d - 1
-    if len(set(v)) < len(v):
-        return None
-    ordered = sorted(v, reverse=True)
-    position = {x: k for k, x in enumerate(ordered)}
-    r = len(s)
-    inversions = sum(position[x] for x in v[:r]) - r * (r - 1) // 2
-    return inversions, tuple(x + k for k, x in enumerate(ordered))
 
 
 def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:

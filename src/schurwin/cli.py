@@ -101,10 +101,7 @@ _RENDER = {
     ("staircase", "json"): lambda e, ctx, a, data: e.staircase_json_obj(data),
     ("staircase", "latex"): lambda e, ctx, a, data: e.staircase_latex(data),
     ("sequence", "text"): lambda e, ctx, a, terms: e.sequence_text(ctx, terms),
-    # a resolution sequence ends in its base, S^v(base) with no wedge factor
-    ("sequence", "json"): lambda e, ctx, a, terms: e.sequence_json_obj(
-        ctx, terms[-1].delta, terms
-    ),
+    ("sequence", "json"): lambda e, ctx, a, terms: e.sequence_json_obj(ctx, terms),
     ("sequence", "latex"): lambda e, ctx, a, terms: e.sequence_latex(ctx, terms),
     ("shift", "text"): lambda e, ctx, a, tc: e.format_complex(ctx, tc) + "\n",
     ("shift", "json"): lambda e, ctx, a, tc: e.term_complex_json_obj(ctx, tc),

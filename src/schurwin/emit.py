@@ -2,17 +2,15 @@
 
 Generators are displayed through their full weight on S^v; the all-zero
 weight prints as O. Complexes print as a brace-and-arrow chain with the
-degree span appended, skeletons as a per-degree listing. Of the library this
-module imports only `partitions`, so printing loads nothing a command skips.
+degree span appended, skeletons as a per-degree listing. JSON objects are built
+from JSON-native values, so `json_dumps` converts nothing. No other library
+module is imported at run time, so printing loads nothing a command skips.
 """
 
 from __future__ import annotations
 
-import sys
 from math import comb
 from typing import TYPE_CHECKING
-
-from .partitions import Partition
 
 if TYPE_CHECKING:
     from .partitions import Context, GeneratorLabel
@@ -127,11 +125,11 @@ def sequence_text(ctx: Context, terms) -> str:
     return " → ".join(bits) + "\n"
 
 
-def sequence_json_obj(ctx: Context, base: Partition, terms):
+def sequence_json_obj(ctx: Context, terms):
     return {
         "d": ctx.d,
         "r": ctx.r,
-        "base": list(base.parts),
+        "base": list(terms[-1].delta.parts),  # a resolution sequence ends in its base
         "terms": [
             {
                 "delta": list(t.delta.parts),
@@ -217,23 +215,8 @@ def matrix_json_obj(mat: KMatrix):
     }
 
 
-def jsonable(value):
-    """Recursively convert to JSON-safe data; rationals become strings."""
-    # no Fraction exists until something has imported `fractions`
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
-        return str(value)
-    if isinstance(value, Partition):
-        return list(value.parts)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def json_dumps(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     import json
 
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,4 +1,7 @@
-"""Young diagrams, GL(r) weights, and canonically named window generators.
+"""Young diagrams, GL(r) weights, canonically named window generators, and the
+one home of three exact rules other modules share: `_dotted_weyl`, Bott's
+dotted Weyl action, which also straightens Schur weights; `_translated`, the
+translation `canonicalize` names generators by; `_bareiss`, the integer determinant.
 
 Values here are immutable and usable as dict keys; every operation is a pure
 function, so everything is safe to share across threads.
@@ -122,6 +125,56 @@ def dual_weight(w) -> tuple[int, ...]:
     return tuple(-x for x in reversed(tuple(w)))
 
 
+def _translated(w) -> tuple[tuple[int, ...], int]:
+    """The weight plus n * (1,...,1), where n = -w[-1] makes it end in 0, and n
+    (its offset)."""
+    n = -w[-1] if w else 0
+    return tuple(x + n for x in w), n
+
+
+def _dotted_weyl(s, q) -> tuple[int, tuple[int, ...]] | None:
+    """(degree, dominant weight) of the dotted Weyl action on the weight s + q,
+    or None when the rho-shifted vector has a repeated entry.
+
+    The S^v weight s is dominant, so its block stays strictly decreasing after
+    the rho shift: its entry i has i entries of its own block above it in the
+    sorted vector, and each other entry above it comes from q and is one
+    inversion. So the degree is read off positions, with no pairwise count.
+    """
+    v = [x - i for i, x in enumerate(s + q)]  # (s + q) + rho, less the constant len(v) - 1
+    if len(set(v)) < len(v):
+        return None
+    ordered = sorted(v, reverse=True)
+    position = {x: k for k, x in enumerate(ordered)}
+    r = len(s)
+    inversions = sum(position[x] for x in v[:r]) - r * (r - 1) // 2
+    return inversions, tuple(x + k for k, x in enumerate(ordered))
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Integer determinant by Bareiss's fraction-free elimination.
+
+    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
+    integers throughout. Eliminates in place: `a` is consumed.
+    """
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def graded_lex_key(w):
     """Sort key ordering weights by total size, then lexicographically."""
     w = tuple(w)
@@ -186,11 +239,8 @@ def canonicalize(w, det_power: int = 0) -> GeneratorLabel:
     c; the canonical representative has last weight entry zero. Idempotent on
     its own output. For the empty weight (r = 0) the label is just ((), m).
     """
-    w = check_weight(w)
-    if not w:
-        return GeneratorLabel(Partition(), det_power)
-    shift = w[-1]
-    return GeneratorLabel(Partition(tuple(x - shift for x in w)), det_power + shift)
+    w, n = _translated(check_weight(w))
+    return GeneratorLabel(Partition(w), det_power - n)
 
 
 def box_partitions(rows: int, cols: int) -> list[Partition]:

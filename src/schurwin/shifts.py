@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .partitions import Context, GeneratorLabel, Partition, ShapeError, canonicalize
+from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, canonicalize
 from .staircase import base_from_top, staircase_diagrams
 from .windows import enumerate_window, in_window
 
@@ -239,30 +239,6 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
                     acc[j] += x * v
         out.append(tuple(acc))
     return tuple(out)
-
-
-def _bareiss(a: list[list[int]]) -> int:
-    """Integer determinant by Bareiss's fraction-free elimination.
-
-    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
-    integers throughout. Eliminates in place: `a` is consumed.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def int_determinant(rows) -> int:

@@ -18,8 +18,9 @@ from itertools import accumulate
 from math import lcm, prod
 from operator import index
 
-from .partitions import Partition, ShapeError, _strip, check_weight
-from .shifts import _bareiss
+from .partitions import (
+    Partition, ShapeError, _bareiss, _dotted_weyl, _strip, _translated, check_weight
+)
 
 
 def _pad(key: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -222,13 +223,6 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     return SchurExpansion._trusted(out, rank)
 
 
-def _translated(w) -> tuple[tuple[int, ...], int]:
-    """The weight plus n * (1,...,1), where n = -w[-1] makes it end in 0, and n
-    (its offset)."""
-    n = -w[-1] if w else 0
-    return tuple(x + n for x in w), n
-
-
 def _lr_class(r: int, u, v, memo=None, steps=None):
     """Memo entry of the translation class of two `_translated` length-r
     weights; the sorted pair keys `memo` (a dict the caller owns). The entry
@@ -239,11 +233,11 @@ def _lr_class(r: int, u, v, memo=None, steps=None):
     if r == 0:
         return {(): 1}, {}
     pair = (u, v) if u <= v else (v, u)
-    entry = None if memo is None else memo.get(pair)
+    memo = {} if memo is None else memo
+    entry = memo.get(pair)
     if entry is None:
         entry = (lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms, {})
-        if memo is not None:
-            memo[pair] = entry
+        memo[pair] = entry
     return entry
 
 
@@ -289,8 +283,8 @@ def schur_at(w, point) -> int | Fraction:
 
     A point not all ints is cleared to b / q over the integers (a float
     coordinate raises TypeError), and s_w(b / q) = s_w(b) / q^|w|. At integer
-    b, a weight that zero padding leaves non-dominant is straightened, w ->
-    sort(w + rho) - rho with the sort's sign, or 0 on a repeated entry;
+    b, a weight that zero padding leaves non-dominant is straightened by Bott's
+    rule (`_dotted_weyl`) with its sign, or is 0 on a repeated entry;
     negative weights factor through a power of b_1*...*b_n (all nonzero); a
     partition is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b) over the
     integers, safe at repeated coordinates: an int at a point of ints.
@@ -306,13 +300,11 @@ def schur_at(w, point) -> int | Fraction:
     if not w:
         return 1
     full = _pad(w, n)
-    if w[-1] < 0 and len(w) < n:  # zero padding left full non-dominant
-        beta = [p + n - 1 - i for i, p in enumerate(full)]  # full + rho
-        if len(set(beta)) < n:
+    if w[-1] < 0 and len(w) < n:  # zero padding left full non-dominant: Bott's rule
+        hit = _dotted_weyl(w, (0,) * (n - len(w)))
+        if hit is None:
             return 0
-        inversions = sum(a < b for i, a in enumerate(beta) for b in beta[i + 1 :])
-        straight = [b - n + 1 + i for i, b in enumerate(sorted(beta, reverse=True))]
-        return (-1) ** inversions * schur_at(tuple(straight), xs)
+        return (-1) ** hit[0] * schur_at(hit[1], xs)
     shift = min(full[-1], 0)
     if shift:
         if 0 in xs:

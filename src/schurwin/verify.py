@@ -85,8 +85,13 @@ def _bases(ctx: Context, delta):
     return [base], list(base.parts)
 
 
+SAMPLE_LIMIT = 6087  # how many distinct fractions n/m have 1 <= n, m <= 100
+
+
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     """d distinct positive rationals with numerator and denominator <= 100."""
+    if d > SAMPLE_LIMIT:
+        raise ShapeError(f"a sample point has at most {SAMPLE_LIMIT} coordinates, got d={d}")
     pts: set[Fraction] = set()
     while len(pts) < d:
         pts.add(Fraction(rng.randint(1, 100), rng.randint(1, 100)))
@@ -160,9 +165,9 @@ def verify_localization(
     t0 = time.perf_counter()
     if samples < 1:
         raise ShapeError("samples must be at least 1")
-    bases, deltas = _bases(ctx, delta)
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
+    bases, deltas = _bases(ctx, delta)
     memo: dict = {}
     return _report(
         "localization",

@@ -107,10 +107,27 @@ def test_json_roundtrip_byte_identical(capsys):
         ["matrix", "--d", "4", "--r", "2", "--from", "1", "--to", "0",
          "--format", "json"],
         ["verify", "euler", "--d", "3", "--r", "1", "--format", "json"],
+        ["twist", "--d", "4", "--r", "2", "--gen", "3,1", "--format", "json"],
+        ["verify", "exactness", "--d", "4", "--r", "2", "--seed", "3", "--format", "json"],
+        ["verify", "exactness", "--d", "4", "--r", "2", "--delta", "1", "--format", "json",
+         "--timings"],
+        ["verify", "tilting", "--d", "4", "--r", "2", "--format", "json"],
+        ["verify", "relations", "--d", "4", "--r", "2", "--format", "json"],
+        ["verify", "regression", "--d", "4", "--r", "2", "--format", "json"],
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json_dumps(json.loads(out)) == out
+
+
+def test_exactness_past_the_sample_limit_exits_2(capsys):
+    from schurwin.verify import SAMPLE_LIMIT
+
+    for r in ("1", "3"):
+        code, out, err = run(capsys, "verify", "exactness", "--d", str(SAMPLE_LIMIT + 1),
+                             "--r", r)
+        assert (code, out) == (2, "")
+        assert f"at most {SAMPLE_LIMIT} coordinates" in err
 
 
 def test_identical_argv_identical_bytes(capsys):

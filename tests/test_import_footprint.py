@@ -67,6 +67,21 @@ def test_command_imports_only_what_it_uses(argv, absent):
     assert sorted(loaded & absent) == []
 
 
+@pytest.mark.parametrize(
+    "module, expected",
+    [
+        ("schurwin.symfunc", {"schurwin", "schurwin.partitions", "schurwin.symfunc"}),
+        ("schurwin.bott", {"schurwin", "schurwin.partitions", "schurwin.symfunc", "schurwin.bott"}),
+    ],
+)
+def test_symfunc_and_bott_sit_below_the_window_shift_stack(module, expected):
+    # the shared rules live in `partitions`, so neither the LR and evaluation
+    # layer nor Bott's rule loads `shifts`, `staircase` or `windows`
+    loaded = {m for m in _modules_after(f"import {module}") if m.partition(".")[0] == "schurwin"}
+    assert sorted(loaded & {"schurwin.shifts", "schurwin.staircase", "schurwin.windows"}) == []
+    assert loaded == expected
+
+
 def _imports_dataclasses(node):
     if isinstance(node, ast.Import):
         return any(a.name.partition(".")[0] == "dataclasses" for a in node.names)

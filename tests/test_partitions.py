@@ -173,3 +173,13 @@ def test_generator_label_weight_roundtrip():
     g = GeneratorLabel(Partition((2, 1)), -3)
     assert g.weight(3) == (-1, -2, -3)
     assert canonicalize(g.weight(3)) == g
+
+
+def test_shared_rules_have_one_home():
+    from schurwin import bott, partitions, shifts, symfunc
+
+    assert bott._dotted_weyl is symfunc._dotted_weyl is partitions._dotted_weyl
+    assert bott._translated is symfunc._translated is partitions._translated
+    assert shifts._bareiss is symfunc._bareiss is partitions._bareiss
+    for name in ("_dotted_weyl", "_translated", "_bareiss"):
+        assert getattr(partitions, name).__module__ == "schurwin.partitions"

@@ -12,6 +12,7 @@ from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
+    SAMPLE_LIMIT,
     VerificationReport,
     _localization_counterexample,
     localization_holds,
@@ -40,6 +41,40 @@ def test_sample_point_distinct_positive():
         assert all(
             x.numerator <= 100 and x.denominator <= 100 for x in t
         )
+
+
+def test_sample_limit_is_the_number_of_distinct_fractions():
+    fractions = {Fraction(n, m) for n in range(1, 101) for m in range(1, 101)}
+    assert SAMPLE_LIMIT == len(fractions)
+    rng = random.Random(0)
+    assert sample_point(rng, SAMPLE_LIMIT) == tuple(sorted(fractions))
+
+
+class _NoDraws(random.Random):
+    def randint(self, a, b):
+        raise AssertionError("drew a coordinate for a point past the sample limit")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda d: sample_point(_NoDraws(0), d),
+        lambda d: verify_localization(Context(d, 1)),
+        lambda d: verify_localization(Context(d, 3)),
+        lambda d: localization_mutation_sweep(Context(d, 2)),
+    ],
+)
+def test_localization_refuses_more_coordinates_than_sample_limit(monkeypatch, check):
+    # no point has SAMPLE_LIMIT + 1 distinct coordinates, so the refusal must
+    # come before any draw and before any base enumeration
+    monkeypatch.setattr(verify.random, "Random", _NoDraws)
+
+    def no_bases(ctx):
+        raise AssertionError("enumerated bases before refusing the point")
+
+    monkeypatch.setattr(verify, "admissible_bases", no_bases)
+    with pytest.raises(ShapeError, match=f"at most {SAMPLE_LIMIT} coordinates"):
+        check(SAMPLE_LIMIT + 1)
 
 
 def test_localization_identity_by_hand_d2_r1():
