@@ -96,13 +96,13 @@ def _report_text(report, include_timing: bool) -> str:
 _RENDER = {
     ("windows", "text"): lambda e, ctx, a, labels: e.windows_text(ctx, labels),
     ("windows", "json"): lambda e, ctx, a, labels: e.windows_json_obj(ctx, a.k, labels),
-    ("windows", "latex"): lambda e, ctx, a, labels: e.windows_latex(ctx, labels),
+    ("windows", "latex"): lambda e, ctx, a, labels: e.windows_text(ctx, labels, e.LATEX),
     ("staircase", "text"): lambda e, ctx, a, data: e.staircase_text(data),
     ("staircase", "json"): lambda e, ctx, a, data: e.staircase_json_obj(data),
-    ("staircase", "latex"): lambda e, ctx, a, data: e.staircase_latex(data),
+    ("staircase", "latex"): lambda e, ctx, a, data: e.staircase_text(data, e.LATEX),
     ("sequence", "text"): lambda e, ctx, a, terms: e.sequence_text(ctx, terms),
     ("sequence", "json"): lambda e, ctx, a, terms: e.sequence_json_obj(ctx, terms),
-    ("sequence", "latex"): lambda e, ctx, a, terms: e.sequence_latex(ctx, terms),
+    ("sequence", "latex"): lambda e, ctx, a, terms: e.sequence_text(ctx, terms, e.LATEX),
     ("shift", "text"): lambda e, ctx, a, tc: e.format_complex(ctx, tc) + "\n",
     ("shift", "json"): lambda e, ctx, a, tc: e.term_complex_json_obj(ctx, tc),
     ("shift", "latex"): lambda e, ctx, a, tc: e.complex_latex(ctx, tc),

@@ -1,10 +1,12 @@
 """Text, JSON, and LaTeX emitters with byte-deterministic output.
 
-Generators are displayed through their full weight on S^v; the all-zero
-weight prints as O. Complexes print as a brace-and-arrow chain with the
-degree span appended, skeletons as a per-degree listing. JSON objects are built
-from JSON-native values, so `json_dumps` converts nothing. No other library
-module is imported at run time, so printing loads nothing a command skips.
+Each output kind has one renderer; what text and LaTeX spell differently lives
+in the notation tables `TEXT` (the default) and `LATEX`. Generators are shown
+through their full weight on S^v, the all-zero weight as the trivial bundle.
+Text complexes print as a brace-and-arrow chain with the degree span appended,
+skeletons as a per-degree listing. JSON objects are built from JSON-native
+values, so `json_dumps` converts nothing. No other library module is imported
+at run time, so printing loads nothing a command skips.
 """
 
 from __future__ import annotations
@@ -22,26 +24,33 @@ def format_weight(w) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _bundle_text(w, ext_power=0) -> str:
-    """O or S∨(w), then ⊗ ∧^s V for s = ext_power > 0."""
-    s = "S∨" + format_weight(w) if any(w) else "O"
-    return s + f" ⊗ ∧^{ext_power} V" if ext_power else s
+# everything plain text and LaTeX spell differently; `step` is the line of one
+# staircase step, filled with its index k, padded diagram w and wedge exponent s
+TEXT = {
+    "bundle": "S∨{}", "trivial": "O", "wedge": " ⊗ ∧^{} V", "copies": "{}·",
+    "arrow": " → ", "sep": "\n", "step": "delta_{k} = {w}  s_{k} = {s}",
+}
+LATEX = {
+    "bundle": r"S^{{\vee {}}}", "trivial": r"\mathcal{O}",
+    "wedge": r" \otimes \wedge^{{{}}} V", "copies": r"{} \cdot ",
+    "arrow": r" \rightarrow ", "sep": r", \; ",
+    "step": r"\delta_{{{k}}} = {w}, \quad s_{{{k}}} = {s} \\",
+}
 
 
-def _bundle_latex(w, ext_power=0) -> str:
-    s = rf"S^{{\vee {format_weight(w)}}}" if any(w) else r"\mathcal{O}"
-    return s + rf" \otimes \wedge^{{{ext_power}}} V" if ext_power else s
+def _bundle(w, ext_power, notation=TEXT) -> str:
+    """The trivial bundle or S∨(w), then ⊗ ∧^s V for s = ext_power > 0."""
+    s = notation["bundle"].format(format_weight(w)) if any(w) else notation["trivial"]
+    return s + notation["wedge"].format(ext_power) if ext_power else s
 
 
-def format_generator(ctx: Context, label: GeneratorLabel) -> str:
-    return _bundle_text(label.weight(ctx.r))
+def format_generator(ctx: Context, label: GeneratorLabel, notation=TEXT) -> str:
+    return _bundle(label.weight(ctx.r), 0, notation)
 
 
-def format_term(ctx: Context, term: Term) -> str:
-    s = _bundle_text(term.label.weight(ctx.r), term.ext_power)
-    if term.copies != 1:
-        s = f"{term.copies}·" + s
-    return s
+def format_term(ctx: Context, term: Term, notation=TEXT) -> str:
+    s = _bundle(term.label.weight(ctx.r), term.ext_power, notation)
+    return s if term.copies == 1 else notation["copies"].format(term.copies) + s
 
 
 def format_complex(ctx: Context, tc: TermComplex) -> str:
@@ -52,9 +61,7 @@ def format_complex(ctx: Context, tc: TermComplex) -> str:
     for t in tc.terms:
         by_degree.setdefault(t.degree, []).append(t)
     if tc.honest and all(len(v) == 1 for v in by_degree.values()):
-        chain = " → ".join(
-            format_term(ctx, by_degree[d][0]) for d in range(lo, hi + 1)
-        )
+        chain = TEXT["arrow"].join(format_term(ctx, by_degree[d][0]) for d in range(lo, hi + 1))
         return "{ " + chain + " }" + f"  (degrees {lo}..{hi})"
     groups = [
         f"[{d}] " + " + ".join(format_term(ctx, t) for t in by_degree[d])
@@ -63,8 +70,17 @@ def format_complex(ctx: Context, tc: TermComplex) -> str:
     return "skeleton{ " + " ; ".join(groups) + " }"
 
 
-def windows_text(ctx: Context, labels) -> str:
-    return "".join(format_generator(ctx, g) + "\n" for g in labels)
+def complex_latex(ctx: Context, tc: TermComplex) -> str:
+    """The complex as one LaTeX chain in degree order; LaTeX has no skeleton form."""
+    if tc.is_single_generator():
+        return format_generator(ctx, tc.terms[0].label, LATEX) + "\n"
+    ordered = sorted(tc.terms, key=lambda t: t.degree)
+    chain = LATEX["arrow"].join(format_term(ctx, t, LATEX) for t in ordered)
+    return r"\left\{ " + chain + r" \right\}" + "\n"
+
+
+def windows_text(ctx: Context, labels, notation=TEXT) -> str:
+    return notation["sep"].join(format_generator(ctx, g, notation) for g in labels) + "\n"
 
 
 def windows_json_obj(ctx: Context, k: int, labels):
@@ -83,16 +99,10 @@ def windows_json_obj(ctx: Context, k: int, labels):
     }
 
 
-def windows_latex(ctx: Context, labels) -> str:
-    return ", \\; ".join(latex_generator(ctx, g) for g in labels) + "\n"
-
-
-def staircase_text(data: StaircaseData) -> str:
-    lines = []
-    for k, st in enumerate(data.steps, 1):
-        lines.append(
-            f"delta_{k} = {format_weight(st.delta.pad(data.ctx.r))}  s_{k} = {st.s}"
-        )
+def staircase_text(data: StaircaseData, notation=TEXT) -> str:
+    r, step = data.ctx.r, notation["step"]
+    lines = (step.format(k=k, w=format_weight(st.delta.pad(r)), s=st.s)
+             for k, st in enumerate(data.steps, 1))
     return "\n".join(lines) + "\n"
 
 
@@ -112,17 +122,9 @@ def staircase_json_obj(data: StaircaseData):
     }
 
 
-def staircase_latex(data: StaircaseData) -> str:
-    lines = []
-    for k, st in enumerate(data.steps, 1):
-        w = ",".join(str(x) for x in st.delta.pad(data.ctx.r))
-        lines.append(rf"\delta_{{{k}}} = ({w}), \quad s_{{{k}}} = {st.s} \\")
-    return "\n".join(lines) + "\n"
-
-
-def sequence_text(ctx: Context, terms) -> str:
-    bits = ["0"] + [_bundle_text(t.delta.pad(ctx.r), t.ext_power) for t in terms] + ["0"]
-    return " → ".join(bits) + "\n"
+def sequence_text(ctx: Context, terms, notation=TEXT) -> str:
+    bits = [_bundle(t.delta.pad(ctx.r), t.ext_power, notation) for t in terms]
+    return notation["arrow"].join(["0", *bits, "0"]) + "\n"
 
 
 def sequence_json_obj(ctx: Context, terms):
@@ -139,30 +141,6 @@ def sequence_json_obj(ctx: Context, terms):
             for t in terms
         ],
     }
-
-
-def sequence_latex(ctx: Context, terms) -> str:
-    bits = ["0"] + [_bundle_latex(t.delta.pad(ctx.r), t.ext_power) for t in terms] + ["0"]
-    return " \\rightarrow ".join(bits) + "\n"
-
-
-def latex_generator(ctx: Context, label: GeneratorLabel) -> str:
-    return _bundle_latex(label.weight(ctx.r))
-
-
-def latex_term(ctx: Context, term: Term) -> str:
-    s = _bundle_latex(term.label.weight(ctx.r), term.ext_power)
-    if term.copies != 1:
-        s = rf"{term.copies} \cdot " + s
-    return s
-
-
-def complex_latex(ctx: Context, tc: TermComplex) -> str:
-    if tc.is_single_generator():
-        return latex_generator(ctx, tc.terms[0].label) + "\n"
-    ordered = sorted(tc.terms, key=lambda t: t.degree)
-    chain = " \\rightarrow ".join(latex_term(ctx, t) for t in ordered)
-    return r"\left\{ " + chain + r" \right\}" + "\n"
 
 
 def term_complex_json_obj(ctx: Context, tc: TermComplex):
@@ -183,16 +161,12 @@ def term_complex_json_obj(ctx: Context, tc: TermComplex):
 
 def matrix_text(mat: KMatrix) -> str:
     ctx = mat.ctx
-    rows = mat.row_basis()
-    cols = mat.col_basis()
     lines = [
         f"rows: W_{mat.from_k} basis; columns: W_{mat.to_k} basis",
-        "columns: " + " ".join(format_generator(ctx, g) for g in cols),
+        "columns: " + " ".join(format_generator(ctx, g) for g in mat.col_basis()),
     ]
-    for g, row in zip(rows, mat.entries):
-        lines.append(
-            format_generator(ctx, g) + ": " + " ".join(str(x) for x in row)
-        )
+    for g, row in zip(mat.row_basis(), mat.entries):
+        lines.append(format_generator(ctx, g) + ": " + " ".join(str(x) for x in row))
     lines.append(f"det = {mat.determinant()}")
     return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
-from math import lcm
+from math import comb, lcm
 
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
@@ -86,6 +86,9 @@ def _bases(ctx: Context, delta):
 
 
 SAMPLE_LIMIT = 6087  # how many distinct fractions n/m have 1 <= n, m <= 100
+# most terms one `verify_localization` call may evaluate: C(d, r) fixed points times
+# d - r + 2 terms per sample point and base (C(d, r - 1) bases; one if given, or if r = 0)
+WORK_LIMIT = 10**8
 
 
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -165,6 +168,12 @@ def verify_localization(
     t0 = time.perf_counter()
     if samples < 1:
         raise ShapeError("samples must be at least 1")
+    if ctx.d <= SAMPLE_LIMIT:  # past it, `sample_point` refuses first
+        n_bases = 1 if delta is not None or ctx.r == 0 else comb(ctx.d, ctx.r - 1)
+        work = comb(ctx.d, ctx.r) * n_bases * samples * (ctx.d - ctx.r + 2)
+        if work > WORK_LIMIT:
+            raise ShapeError(f"localization needs {work:,} term evaluations, "
+                             f"over WORK_LIMIT={WORK_LIMIT:,}")
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
     bases, deltas = _bases(ctx, delta)
@@ -378,11 +387,10 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
 
 
 def _shift_table_text(ctx: Context) -> str:
-    lines = []
-    for g in enumerate_window(ctx, 1):
-        tc = shift_down_generator(ctx, g)
-        lines.append(f"{format_generator(ctx, g)} ↦ {format_complex(ctx, tc)}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{format_generator(ctx, g)} ↦ {format_complex(ctx, shift_down_generator(ctx, g))}\n"
+        for g in enumerate_window(ctx, 1)
+    )
 
 
 def _sequences_text(ctx: Context) -> str:
@@ -391,25 +399,11 @@ def _sequences_text(ctx: Context) -> str:
     )
 
 
-def _staircase_text_for(base):
-    def produce(ctx: Context) -> str:
-        return staircase_text(staircase_diagrams(ctx, Partition(base)))
-
-    return produce
-
-
-def _windows_text_for(k):
-    def produce(ctx: Context) -> str:
-        return windows_text(ctx, enumerate_window(ctx, k))
-
-    return produce
-
-
 GOLDEN_INDEX = [
-    (4, 2, "windows_d4_r2_k0.txt", _windows_text_for(0)),
-    (4, 2, "windows_d4_r2_k1.txt", _windows_text_for(1)),
-    (4, 1, "windows_d4_r1_k0.txt", _windows_text_for(0)),
-    (4, 1, "windows_d4_r1_k1.txt", _windows_text_for(1)),
+    (4, 2, "windows_d4_r2_k0.txt", lambda ctx: windows_text(ctx, enumerate_window(ctx, 0))),
+    (4, 2, "windows_d4_r2_k1.txt", lambda ctx: windows_text(ctx, enumerate_window(ctx, 1))),
+    (4, 1, "windows_d4_r1_k0.txt", lambda ctx: windows_text(ctx, enumerate_window(ctx, 0))),
+    (4, 1, "windows_d4_r1_k1.txt", lambda ctx: windows_text(ctx, enumerate_window(ctx, 1))),
     (4, 2, "shift_table_d4_r2.txt", _shift_table_text),
     (2, 1, "shift_table_d2_r1.txt", _shift_table_text),
     (3, 1, "shift_table_d3_r1.txt", _shift_table_text),
@@ -418,7 +412,8 @@ GOLDEN_INDEX = [
     (6, 1, "shift_table_d6_r1.txt", _shift_table_text),
     (7, 1, "shift_table_d7_r1.txt", _shift_table_text),
     (8, 1, "shift_table_d8_r1.txt", _shift_table_text),
-    (7, 3, "staircase_d7_r3_base_3_1.txt", _staircase_text_for((3, 1))),
+    (7, 3, "staircase_d7_r3_base_3_1.txt",
+     lambda ctx: staircase_text(staircase_diagrams(ctx, Partition((3, 1))))),
     (4, 2, "sequences_d4_r2.txt", _sequences_text),
     (2, 1, "sequences_d2_r1.txt", _sequences_text),
 ]

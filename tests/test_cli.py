@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_exactness_past_the_sample_limit_exits_2(capsys):
                              "--r", r)
         assert (code, out) == (2, "")
         assert f"at most {SAMPLE_LIMIT} coordinates" in err
+
+
+def test_exactness_past_the_work_limit_exits_2(capsys):
+    from schurwin.verify import WORK_LIMIT
+
+    for argv in (("--d", "200", "--r", "3", "--delta", "1"),
+                 ("--d", "4", "--r", "2", "--samples", "1000000000")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", "exactness", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert f"over WORK_LIMIT={WORK_LIMIT:,}" in err
 
 
 def test_identical_argv_identical_bytes(capsys):
@@ -388,6 +401,18 @@ def test_latex_output(capsys):
     assert out == (
         r"\left\{ S^{\vee (2,1)} \otimes \wedge^{3} V \rightarrow "
         r"S^{\vee (1,1)} \otimes \wedge^{2} V \rightarrow \mathcal{O} \right\}" + "\n"
+    )
+    code, out, _ = run(capsys, "windows", "--d", "3", "--r", "1", "--format", "latex")
+    assert (code, out) == (0, r"\mathcal{O}, \; S^{\vee (1)}, \; S^{\vee (2)}" + "\n")
+    code, out, _ = run(
+        capsys, "staircase", "--d", "4", "--r", "2", "--delta", "1", "--sequence",
+        "--format", "latex",
+    )
+    assert code == 0
+    assert out == (
+        r"0 \rightarrow S^{\vee (3,2)} \otimes \wedge^{4} V \rightarrow "
+        r"S^{\vee (2,2)} \otimes \wedge^{3} V \rightarrow "
+        r"S^{\vee (1,1)} \otimes \wedge^{1} V \rightarrow S^{\vee (1,0)} \rightarrow 0" + "\n"
     )
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations, product
 from math import lcm
 
@@ -12,6 +13,7 @@ from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
+    GOLDEN_INDEX,
     SAMPLE_LIMIT,
     VerificationReport,
     _localization_counterexample,
@@ -52,7 +54,16 @@ def test_sample_limit_is_the_number_of_distinct_fractions():
 
 class _NoDraws(random.Random):
     def randint(self, a, b):
-        raise AssertionError("drew a coordinate for a point past the sample limit")
+        raise AssertionError("drew a sample coordinate")
+
+
+def _refuse_draws_and_bases(monkeypatch):
+    monkeypatch.setattr(verify.random, "Random", _NoDraws)
+
+    def no_bases(ctx):
+        raise AssertionError("enumerated bases before refusing")
+
+    monkeypatch.setattr(verify, "admissible_bases", no_bases)
 
 
 @pytest.mark.parametrize(
@@ -67,14 +78,32 @@ class _NoDraws(random.Random):
 def test_localization_refuses_more_coordinates_than_sample_limit(monkeypatch, check):
     # no point has SAMPLE_LIMIT + 1 distinct coordinates, so the refusal must
     # come before any draw and before any base enumeration
-    monkeypatch.setattr(verify.random, "Random", _NoDraws)
-
-    def no_bases(ctx):
-        raise AssertionError("enumerated bases before refusing the point")
-
-    monkeypatch.setattr(verify, "admissible_bases", no_bases)
+    _refuse_draws_and_bases(monkeypatch)
     with pytest.raises(ShapeError, match=f"at most {SAMPLE_LIMIT} coordinates"):
         check(SAMPLE_LIMIT + 1)
+
+
+@pytest.mark.parametrize(
+    "ctx, kwargs",
+    [
+        # one base, but C(200, 3) fixed points at each of three points
+        (Context(200, 3), {"delta": (1,)}),
+        (Context(4, 2), {"samples": 10**9}),
+    ],
+)
+def test_localization_refuses_work_past_work_limit(monkeypatch, ctx, kwargs):
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(ShapeError, match="WORK_LIMIT"):
+        verify_localization(ctx, **kwargs)
+
+
+@pytest.mark.parametrize("d, r", [(7, 3), (10, 5), (12, 6)])
+def test_work_limit_admits_swept_cells(monkeypatch, d, r):
+    # the largest benchmark cell, the ROADMAP table's largest and (12, 6) get
+    # past the cap to their first draw
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(AssertionError, match="drew a sample coordinate"):
+        verify_localization(Context(d, r))
 
 
 def test_localization_identity_by_hand_d2_r1():
@@ -347,6 +376,14 @@ def test_regression_golden_sets():
         assert rep.passed, rep.counterexample
     with pytest.raises(ShapeError):
         verify_regression(Context(5, 4))
+
+
+def test_every_golden_file_has_exactly_one_index_row():
+    # an orphaned golden file would otherwise go unchecked
+    golden = resources.files("schurwin") / "golden"
+    files = sorted(p.name for p in golden.iterdir() if p.is_file())
+    assert files
+    assert sorted(name for _, _, name, _ in GOLDEN_INDEX) == files
 
 
 def test_reports_deterministic_given_seed():
