@@ -8,7 +8,7 @@ it stays well defined at repeated coordinates, with no bialternant ratio.
 Coefficients and scalars are integers: a float or Fraction raises TypeError
 instead of being truncated. Nothing is cached between calls unless the caller
 passes its own table: `memo` for the LR terms of each translation class,
-`steps` for the LR strip-DP transitions.
+`steps` for the LR strip-DP transitions, `h` for `_h_table` at a point of ints.
 """
 
 from __future__ import annotations
@@ -278,7 +278,15 @@ def elementary_at(point, s: int) -> Fraction:
     return Fraction(es[s], q**s)
 
 
-def schur_at(w, point) -> int | Fraction:
+def _h_table(xs, top: int) -> tuple[int, ...]:
+    """Complete homogeneous values h_0(xs), ..., h_top(xs) at a point of ints."""
+    hs = (1,) + (0,) * top
+    for b in xs:  # h_m(.., b) = h_m(..) + b * h_{m-1}(.., b)
+        hs = tuple(accumulate(hs, lambda prev, h: h + b * prev))
+    return hs
+
+
+def schur_at(w, point, h=None) -> int | Fraction:
     """Evaluate the Schur function of a dominant weight at an exact point.
 
     A point not all ints is cleared to b / q over the integers (a float
@@ -287,7 +295,8 @@ def schur_at(w, point) -> int | Fraction:
     rule (`_dotted_weyl`) with its sign, or is 0 on a repeated entry;
     negative weights factor through a power of b_1*...*b_n (all nonzero); a
     partition is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b) over the
-    integers, safe at repeated coordinates: an int at a point of ints.
+    integers, safe at repeated coordinates: an int at a point of ints. A table
+    `h` = `_h_table(b, m)` serves every branch; needing h_(m+1) raises ShapeError.
     """
     xs = tuple(point)
     w = _strip(check_weight(w))
@@ -304,19 +313,17 @@ def schur_at(w, point) -> int | Fraction:
         hit = _dotted_weyl(w, (0,) * (n - len(w)))
         if hit is None:
             return 0
-        return (-1) ** hit[0] * schur_at(hit[1], xs)
+        return (-1) ** hit[0] * schur_at(hit[1], xs, h)
     shift = min(full[-1], 0)
     if shift:
         if 0 in xs:
             raise ZeroDivisionError("negative weight evaluated at a zero coordinate")
-        return Fraction(prod(xs)) ** shift * schur_at(tuple(x - shift for x in full), xs)
-    lam, ell = w, len(w)  # w is a partition here
-    top = lam[0] + ell - 1
-    hs = [1] + [0] * top
-    for b in xs:
-        for m in range(1, top + 1):
-            hs[m] += b * hs[m - 1]
-    mat = [[hs[p + j - i] if p + j >= i else 0 for j in range(ell)] for i, p in enumerate(lam)]
+        return Fraction(prod(xs)) ** shift * schur_at(tuple(x - shift for x in full), xs, h)
+    ell, top = len(w), w[0] + len(w) - 1  # w is a partition here
+    h = _h_table(xs, top) if h is None else h
+    if len(h) <= top:
+        raise ShapeError(f"{list(w)} needs h_{top}; the h-table has {len(h)} entries")
+    mat = [[h[p + j - i] if p + j >= i else 0 for j in range(ell)] for i, p in enumerate(w)]
     return _bareiss(mat)
 
 

@@ -29,7 +29,7 @@ from .staircase import (
     staircase_diagrams,
     window_bases,
 )
-from .symfunc import SchurExpansion, _cleared, elementary_at, schur_at
+from .symfunc import SchurExpansion, _cleared, _h_table, elementary_at, schur_at
 from .windows import enumerate_window
 
 
@@ -86,9 +86,18 @@ def _bases(ctx: Context, delta):
 
 
 SAMPLE_LIMIT = 6087  # how many distinct fractions n/m have 1 <= n, m <= 100
-# most terms one `verify_localization` call may evaluate: C(d, r) fixed points times
-# d - r + 2 terms per sample point and base (C(d, r - 1) bases; one if given, or if r = 0)
-WORK_LIMIT = 10**8
+WORK_LIMIT = 10**8  # most terms one localization check may evaluate
+
+
+def _refuse_past_work_limit(ctx: Context, samples: int, staircases: int | None) -> None:
+    """Refuse `samples` points times `staircases` (None: C(d, r - 1) bases) times C(d, r)
+    (d - r + 2) terms past WORK_LIMIT, before any draw; past SAMPLE_LIMIT, `sample_point` does."""
+    if ctx.d <= SAMPLE_LIMIT:
+        staircases = comb(ctx.d, ctx.r - 1) if staircases is None else staircases
+        work = comb(ctx.d, ctx.r) * staircases * samples * (ctx.d - ctx.r + 2)
+        if work > WORK_LIMIT:
+            raise ShapeError(f"localization needs {work:,} term evaluations, "
+                             f"over WORK_LIMIT={WORK_LIMIT:,}")
 
 
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -110,13 +119,15 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     is (-1)^n e_s(t) q_t^S * schur_at(mu, b) q^(M - |mu|); schur_at(mu, b) =
     schur_at(mu, y) q^|mu|, and a nonzero sum over q_t^S q^M is the residual.
     `memo`, a dict the caller owns, is bound to `points`: at index p it keeps
-    (the point, {s: e_s(t)}, {fixed subset: (b, q, {padded diagram:
-    schur_at(mu, b)})}); another point at index p raises ShapeError.
+    (the point, {s: e_s(t)}, {fixed subset: (b, q, h, {padded diagram:
+    schur_at(mu, b, h)})}), h = `_h_table(b, m)`, m = max lam_1 + len(lam) - 1
+    over its diagrams so far; another point at index p raises ShapeError.
     """
     r, d = ctx.r, ctx.d
     memo = {} if memo is None else memo
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
     sizes = [sum(mu) for mu in diagrams]
+    top_h = max(sum(mu[:1]) + sum(map(bool, mu)) - 1 for mu in diagrams)
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
     top_s, top_m = max(wedges), max(sizes)
     for p, t in enumerate(points):
@@ -125,19 +136,18 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
             raise ShapeError(f"memo has point {p} as {[*map(str, kept)]}, not {[*map(str, t)]}")
         es.update((s, elementary_at(t, s)) for s in set(wedges) - es.keys())
         scale = lcm(*(x.denominator for x in t)) ** top_s
-        coeffs = [
-            (-1) ** n * es[s].numerator * (scale // es[s].denominator)
-            for n, s in enumerate(wedges)
-        ]
+        coeffs = [(-1) ** n * es[s].numerator * (scale // es[s].denominator)
+                  for n, s in enumerate(wedges)]
         for fixed in combinations(range(d), r):
-            if fixed not in cleared:
-                cleared[fixed] = (*_cleared([Fraction(1) / t[i] for i in fixed]), {})
-            b, q, values = cleared[fixed]
+            entry = cleared.get(fixed) or (*_cleared([Fraction(1) / t[i] for i in fixed]), (), {})
+            b, q, h, values = entry
+            if len(h) <= top_h:  # new, or too short for this staircase
+                cleared[fixed] = (b, q, (h := _h_table(b, top_h)), values)
             total = 0
             for mu, size, c in zip(diagrams, sizes, coeffs):
                 value = values.get(mu)
                 if value is None:
-                    value = values[mu] = schur_at(mu, b)
+                    value = values[mu] = schur_at(mu, b, h)
                 total += c * value * q ** (top_m - size)
             if total:
                 return {
@@ -168,12 +178,7 @@ def verify_localization(
     t0 = time.perf_counter()
     if samples < 1:
         raise ShapeError("samples must be at least 1")
-    if ctx.d <= SAMPLE_LIMIT:  # past it, `sample_point` refuses first
-        n_bases = 1 if delta is not None or ctx.r == 0 else comb(ctx.d, ctx.r - 1)
-        work = comb(ctx.d, ctx.r) * n_bases * samples * (ctx.d - ctx.r + 2)
-        if work > WORK_LIMIT:
-            raise ShapeError(f"localization needs {work:,} term evaluations, "
-                             f"over WORK_LIMIT={WORK_LIMIT:,}")
+    _refuse_past_work_limit(ctx, samples, None if delta is None and ctx.r else 1)
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
     bases, deltas = _bases(ctx, delta)
@@ -225,6 +230,9 @@ def localization_mutation_sweep(
     t0 = time.perf_counter()
     if ctx.r == 0:
         raise ShapeError("no staircase bases exist for r = 0")
+    if mutations < 1:
+        raise ShapeError("mutations must be at least 1")
+    _refuse_past_work_limit(ctx, 3, mutations)
     rng = random.Random(seed)
     points = [sample_point(rng, ctx.d) for _ in range(3)]
     bases = admissible_bases(ctx)

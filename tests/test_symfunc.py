@@ -429,6 +429,64 @@ def test_schur_at_integer_point_matches_fraction_point():
     assert min(seen.values()) >= 20, seen
 
 
+def test_schur_at_with_h_table_matches_without(monkeypatch):
+    # a caller's table h_0..h_m of a point of ints serves every branch (Bott
+    # straightening and the det-power shift too, which build none of their
+    # own): the same value, or the same ZeroDivisionError, as schur_at
+    # building its own. A table too short for the partition finally evaluated
+    # raises ShapeError and never gives a value
+    built, h_table = [], symfunc._h_table
+    monkeypatch.setattr(symfunc, "_h_table", lambda b, top: built.append(b) or h_table(b, top))
+    rng = random.Random(18)
+    seen = {"partition": 0, "negative": 0, "straightened": 0, "zero division": 0, "short": 0}
+    for _ in range(1200):
+        n = rng.randint(0, 6)
+        b = tuple(rng.randint(-4, 4) for _ in range(n))  # repeats and zeros
+        w = _random_weight(rng, n)
+        h = h_table(b, 8 + 3 * n)  # past any partition w can lead to
+        assert type(h) is tuple and {type(x) for x in h} <= {int}
+        hash((w, b, h))
+        try:
+            value = schur_at(w, b)
+        except ZeroDivisionError:
+            seen["zero division"] += 1
+            with pytest.raises(ZeroDivisionError):
+                schur_at(w, b, h)
+            continue
+        built.clear()
+        assert schur_at(w, b, h) == value, (w, b)
+        served = False  # once a prefix of h serves, every longer one does
+        for m in range(len(h) + 1):
+            try:
+                assert schur_at(w, b, h[:m]) == value, (w, b, m)
+                served = True
+            except ShapeError:
+                assert not served, (w, b, m)
+                seen["short"] += 1
+        assert built == [], (w, b)
+        lam = tuple(x for x in w if x)  # w without its trailing zeros
+        if lam and lam[-1] > 0 and len(lam) <= n:
+            seen["partition"] += 1
+            with pytest.raises(ShapeError, match="h-table"):
+                schur_at(w, b, h[: lam[0] + len(lam) - 1])
+            assert schur_at(w, b, h[: lam[0] + len(lam)]) == value
+        elif lam and lam[-1] < 0:
+            seen["negative"] += 1
+            seen["straightened"] += len(w) < n
+    assert min(seen.values()) >= 20, seen
+
+
+def test_h_table_is_the_complete_homogeneous_values():
+    # checked against the tableau sum of the one-row shape (m)
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(0, 4)
+        b = tuple(rng.randint(-4, 4) for _ in range(n))
+        h = symfunc._h_table(b, 5)
+        assert h == tuple(monomial_value(ssyt_monomials((m,), n), b) for m in range(6)), b
+    assert symfunc._h_table((2, 3), -1) == (1,)
+
+
 @pytest.mark.parametrize(
     "call",
     [

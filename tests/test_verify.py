@@ -97,6 +97,36 @@ def test_localization_refuses_work_past_work_limit(monkeypatch, ctx, kwargs):
         verify_localization(ctx, **kwargs)
 
 
+@pytest.mark.parametrize("mutations", [0, -3])
+def test_mutation_sweep_refuses_no_mutations(monkeypatch, mutations):
+    # no mutation tried is no evidence: refuse before any draw
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(ShapeError, match="mutations must be at least 1"):
+        localization_mutation_sweep(Context(4, 2), mutations=mutations)
+
+
+@pytest.mark.parametrize(
+    "ctx, mutations",
+    [
+        # 3 points times C(200, 3) fixed points times 199 terms for one mutation
+        (Context(200, 3), 1),
+        (Context(4, 2), 10**9),
+    ],
+)
+def test_mutation_sweep_refuses_work_past_work_limit(monkeypatch, ctx, mutations):
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(ShapeError, match="WORK_LIMIT"):
+        localization_mutation_sweep(ctx, mutations=mutations)
+
+
+@pytest.mark.parametrize("d, r", [(8, 4), (10, 5)])
+def test_work_limit_admits_mutation_sweeps(monkeypatch, d, r):
+    # the largest benchmark sweep cell and (10, 5) get past the cap to their first draw
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(AssertionError, match="drew a sample coordinate"):
+        localization_mutation_sweep(Context(d, r))
+
+
 @pytest.mark.parametrize("d, r", [(7, 3), (10, 5), (12, 6)])
 def test_work_limit_admits_swept_cells(monkeypatch, d, r):
     # the largest benchmark cell, the ROADMAP table's largest and (12, 6) get
@@ -449,10 +479,12 @@ def test_localization_memo_shared_across_calls():
         for s, value in es.items():
             assert value == elementary_at(t, s)
         assert sorted(cleared) == list(combinations(range(4), 2))
-        for fixed, (b, q, values) in cleared.items():
+        for fixed, (b, q, h, values) in cleared.items():
             y = tuple(1 / t[i] for i in fixed)
             assert q == lcm(*(x.denominator for x in y))
             assert b == tuple(x * q for x in y)
+            assert len(h) == 5  # h_0..h_4: the top (2, 2) needs h_{2 + 2 - 1}, (4,) h_4
+            assert h == symfunc._h_table(b, len(h) - 1)
             assert values
             for mu, value in values.items():
                 assert type(value) is int
@@ -505,9 +537,49 @@ def test_localization_evaluates_each_value_once(monkeypatch):
     assert len(schur_args) == len(values) == len(set(schur_args))
     for args in schur_args:
         hash(args)
-        assert [type(a) for a in args] == [tuple, tuple]
-        assert {type(x) for x in args[0] + args[1]} == {int}
+        assert [type(a) for a in args] == [tuple, tuple, tuple]
+        assert {type(x) for x in args[0] + args[1] + args[2]} == {int}
     assert sorted(e_args) == sorted(wedges)
+
+
+def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
+    # one memo over every base of (6,3): one h-table per (point, fixed
+    # subset), built by verify, and schur_at never builds its own
+    ctx = Context(6, 3)
+    rng = random.Random(6)
+    points = [sample_point(rng, 6) for _ in range(3)]
+    built, h_table = [], symfunc._h_table
+
+    def counted_h_table(b, top):
+        built.append((b, top))
+        return h_table(b, top)
+
+    monkeypatch.setattr(verify, "_h_table", counted_h_table)
+    monkeypatch.setattr(symfunc, "_h_table", counted_h_table)
+    memo = {}
+    for base in admissible_bases(ctx):
+        assert localization_holds(ctx, base, staircase_diagrams(ctx, base).steps, points, memo)
+    stored = [
+        (b, len(h) - 1) for _, _, cleared in memo.values() for b, _, h, _ in cleared.values()
+    ]
+    assert len(stored) == 3 * 20
+    assert sorted(built) == sorted(stored)
+    # a staircase needing a longer table rebuilds it, keeping the values
+    base = admissible_bases(ctx)[0]
+    steps = list(staircase_diagrams(ctx, base).steps)
+    top = steps[-1].delta.pad(3)
+    steps[-1] = StaircaseStep(Partition((top[0] + 1,) + top[1:]), steps[-1].s)
+    kept = {fixed: dict(entry[3]) for fixed, entry in memo[0][2].items()}
+    assert not localization_holds(ctx, base, tuple(steps), points[:1], memo)
+    fixed = (0, 1, 2)  # the first subset the check visits
+    b, _, h, values = memo[0][2][fixed]
+    assert h == h_table(b, 7) and (b, 7) in built
+    assert kept[fixed].items() <= values.items()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_localization_passes_d8_r4(seed):
+    assert verify_localization(Context(8, 4), seed=seed).passed
 
 
 def _fraction_counterexample(ctx, base, steps, points):
