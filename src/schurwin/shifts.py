@@ -11,8 +11,8 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
-`general_shift` reuses each label's unit-step image within one call, and
-K-matrix products skip zeros: a unit step has few nonzeros per row.
+A call of `general_shift` or `k_matrix` builds each untwisted unit-step image
+once, and K-matrix products skip zeros: a unit step has few nonzeros per row.
 """
 
 from __future__ import annotations
@@ -112,29 +112,28 @@ def shift_up_generator(
 
 
 def _unit_step(
-    ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, keep_det: bool = False
+    ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, keep_det: bool = False, memo=None
 ) -> TermComplex:
-    """One-step shift between adjacent windows, via det-twist conjugation."""
+    """One-step shift between adjacent windows, via det-twist conjugation: the
+    untwisted W_1 -> W_0 or W_0 -> W_1 image is kept under (untwisted label,
+    downward, keep_det) in the caller's `memo`, if any, and twisted back."""
     if abs(from_k - to_k) != 1:
         raise ShapeError("unit step requires adjacent windows")
     if ctx.r == 0:
         # rank zero: every window is generated by the trivial bundle; the
         # shift is the identity, relabelled with the target window's marker
         return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k)),))
-    twist = to_k if to_k < from_k else from_k
+    down = to_k < from_k
+    twist = to_k if down else from_k
     g0 = GeneratorLabel(g.delta, g.det_power - twist)
-    if to_k < from_k:
-        tc = shift_down_generator(ctx, g0)
-    else:
-        tc = shift_up_generator(ctx, g0, keep_det=keep_det)
+    key, memo = (g0, down, keep_det), {} if memo is None else memo
+    if key not in memo:
+        memo[key] = shift_down_generator(ctx, g0) if down else shift_up_generator(ctx, g0, keep_det)
+    if not twist:
+        return memo[key]
     terms = tuple(
-        Term(
-            t.degree,
-            GeneratorLabel(t.label.delta, t.label.det_power + twist),
-            t.ext_power,
-            t.copies,
-        )
-        for t in tc.terms
+        Term(t.degree, GeneratorLabel(t.label.delta, t.label.det_power + twist), *t[2:])
+        for t in memo[key].terms
     )
     return TermComplex(terms, honest=True)
 
@@ -153,13 +152,14 @@ def general_shift(
     terms: list[Term] = [Term(0, g)]
     current = from_k
     step = -1 if to_k < from_k else 1
+    memo: dict = {}  # untwisted unit-step images, shared by every step
     while current != to_k:
         nxt = current + step
         new_terms: list[Term] = []
         images: dict[GeneratorLabel, TermComplex] = {}
         for t in terms:
             if t.label not in images:
-                images[t.label] = _unit_step(ctx, t.label, current, nxt, keep_det)
+                images[t.label] = _unit_step(ctx, t.label, current, nxt, keep_det, memo)
             for u in images[t.label].terms:
                 copies = t.copies * u.copies
                 if t.ext_power == 0:
@@ -220,7 +220,8 @@ class KMatrix(NamedTuple):
         return unit_step_determinant(self.entries)
 
     def is_identity(self) -> bool:
-        return all(r[i] == 1 and not any(r[:i] + r[i + 1:]) for i, r in enumerate(self.entries))
+        e = self.entries
+        return all(tuple(r) == (0,) * i + (1,) + (0,) * (len(e) - 1 - i) for i, r in enumerate(e))
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
@@ -241,9 +242,16 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _square(rows):
+    """The rows themselves, once checked to form a square matrix."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ShapeError(f"not a square matrix: rows of lengths {[len(row) for row in rows]}")
+    return rows
+
+
 def int_determinant(rows) -> int:
-    """Exact integer determinant by the Bareiss fraction-free elimination."""
-    return _bareiss([[int(x) for x in row] for row in rows])
+    """Exact Bareiss determinant of a square integer matrix, else ShapeError."""
+    return _bareiss(_square([[int(x) for x in row] for row in rows]))
 
 
 def unit_step_determinant(rows) -> int:
@@ -255,7 +263,7 @@ def unit_step_determinant(rows) -> int:
     sign(R -> C) times the determinant of the block off R and C.
     """
     taken: dict[int, int] = {}  # column -> row, in row order
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_square(rows)):
         nonzero = [j for j, x in enumerate(row) if x]
         if len(nonzero) == 1 and row[nonzero[0]] == 1:
             taken.setdefault(nonzero[0], i)
@@ -268,8 +276,9 @@ def unit_step_determinant(rows) -> int:
     return sign * int_determinant(block)
 
 
-def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:
-    """K-class matrix of the window shift, composed from unit steps."""
+def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
+    """K-class matrix of the window shift, composed from unit steps that share
+    one memo of untwisted images (`_unit_step`): the caller's `memo`, if given."""
     if from_k == to_k:
         n = len(enumerate_window(ctx, from_k))
         entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -278,12 +287,13 @@ def k_matrix(ctx: Context, from_k: int, to_k: int) -> KMatrix:
     current = from_k
     entries = None
     b_from = enumerate_window(ctx, from_k)
+    memo = {} if memo is None else memo
     while current != to_k:
         nxt = current + step
         b_to = enumerate_window(ctx, nxt)
         index = {g: i for i, g in enumerate(b_to)}
         unit = tuple(
-            k_class(ctx, _unit_step(ctx, g, current, nxt), b_to, index) for g in b_from
+            k_class(ctx, _unit_step(ctx, g, current, nxt, memo=memo), b_to, index) for g in b_from
         )
         entries = unit if entries is None else _mat_mul(entries, unit)
         b_from, current = b_to, nxt

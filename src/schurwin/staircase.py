@@ -56,18 +56,13 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
     """
     delta = check_admissible_base(ctx, delta)
     r = ctx.r
+    base, c = delta.pad(r - 1), len(delta)
     steps = []
     for k in range(1, ctx.staircase_length + 1):
-        c = delta.col(k)
-        rows = []
-        for i in range(1, r + 1):
-            if i < c + 1:
-                rows.append(delta.row(i))
-            elif i == c + 1:
-                rows.append(k)
-            else:
-                rows.append(delta.row(i - 1) + 1)
-        steps.append(StaircaseStep(Partition(tuple(rows)), r + k - (c + 1)))
+        while c and base[c - 1] < k:
+            c -= 1  # c is col_k: the number of base rows of length >= k
+        rows = base[:c] + (k,) + tuple(x + 1 for x in base[c:])
+        steps.append(StaircaseStep(Partition(rows), r + k - (c + 1)))
     return StaircaseData(ctx, delta, tuple(steps))
 
 

@@ -362,11 +362,15 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     Each unit step U is built once per direction and M_kl is their left fold.
     det M_kl is the product of the det U on its way, each taken exactly from
     U's block off its standard unit (overlap) rows: no dense determinant.
+    The unit K-matrices share one memo of untwisted unit-step images; every
+    level was always rebuilt from the same untwisted image, so det-conjugation
+    keeps its strength: it tests each re-twist and each window's indexing.
     """
     t0 = time.perf_counter()
     ks = sorted(k_range)
     walk = range(ks[0], ks[-1] + 1) if ks else range(0)
-    units = {(k, l): k_matrix(ctx, k, l) for k in walk for l in (k - 1, k + 1) if l in walk}
+    memo: dict = {}
+    units = {(k, l): k_matrix(ctx, k, l, memo) for k in walk for l in (k - 1, k + 1) if l in walk}
     unit_dets = {kl: u.determinant() for kl, u in units.items()}
     mats, dets = {}, {}
     for k in ks:

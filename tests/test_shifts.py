@@ -1,11 +1,13 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
 
+from schurwin import shifts
 from schurwin.partitions import Context, GeneratorLabel, ShapeError, canonicalize
 from schurwin.shifts import (
+    KMatrix,
     Term,
     TermComplex,
     _mat_mul,
@@ -19,6 +21,7 @@ from schurwin.shifts import (
     shift_up_generator,
     unit_step_determinant,
 )
+from schurwin.verify import verify_relations
 from schurwin.windows import enumerate_window, in_window
 
 
@@ -236,6 +239,31 @@ def test_unit_step_determinant_with_planted_unit_rows():
         assert unit_step_determinant(rows) == leibniz_determinant(rows), rows
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [4, 5, 6]],
+        [[1, 2], [3]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0], [0, 1], [0, 0]],
+        [[1], [0, 1]],
+    ],
+)
+def test_determinants_reject_ragged_or_non_square(rows):
+    for determinant in (int_determinant, unit_step_determinant):
+        with pytest.raises(ShapeError, match="not a square matrix"):
+            determinant(rows)
+
+
+def test_is_identity_is_false_off_square_entries():
+    ctx = Context(3, 1)
+    assert not KMatrix(ctx, 0, 0, ((1, 0, 0), (0, 1, 0))).is_identity()
+    assert not KMatrix(ctx, 0, 0, ((1,), (0, 1))).is_identity()
+    assert not KMatrix(ctx, 0, 0, ((1, 0), (0, 1), (0, 0))).is_identity()
+    assert KMatrix(ctx, 0, 0, ((1, 0), (0, 1))).is_identity()
+    assert KMatrix(ctx, 0, 0, ()).is_identity()
+
+
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         _mat_mul(((1, 2), (3, 4)), ((1, 0, 0),))
@@ -307,6 +335,64 @@ def test_general_shift_matches_unmemoized_substitution(d, r):
                 ref = substituted_shift(ctx, from_k, to_k, g, keep_det)
                 assert got.terms == ref.terms, (g, from_k, to_k, keep_det)
                 assert got.honest == ref.honest
+
+
+def count_generator_shifts(monkeypatch):
+    """Count the untwisted unit-step images built, by direction."""
+    calls = {"down": 0, "up": 0}
+    for direction in calls:
+        name = f"shift_{direction}_generator"
+
+        def counted(*args, _honest=getattr(shifts, name), _direction=direction, **kwargs):
+            calls[_direction] += 1
+            return _honest(*args, **kwargs)
+
+        monkeypatch.setattr(shifts, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "d, r, from_k, to_k, down, up", [(6, 3, 2, -2, 20, 0), (8, 4, -2, 2, 0, 70)]
+)
+def test_k_matrix_builds_each_untwisted_image_once(monkeypatch, d, r, from_k, to_k, down, up):
+    # one image per generator of W_1 (down) or W_0 (up), shared by every level
+    calls = count_generator_shifts(monkeypatch)
+    ctx, memo = Context(d, r), {}
+    k_matrix(ctx, from_k, to_k, memo)
+    assert calls == {"down": down, "up": up}
+    # a caller's memo carries over: the next K-matrix builds no image
+    inner = (from_k + to_k) // 2
+    shared = k_matrix(ctx, inner, to_k, memo)
+    assert calls == {"down": down, "up": up}
+    assert shared == k_matrix(ctx, inner, to_k)
+
+
+def test_general_shift_builds_each_untwisted_image_once(monkeypatch):
+    calls = count_generator_shifts(monkeypatch)
+    ctx = Context(8, 4)
+    general_shift(ctx, 2, -2, enumerate_window(ctx, 2)[-1])
+    assert calls == {"down": 35, "up": 0}
+
+
+@pytest.mark.parametrize("d, r, images", [(6, 3, 20), (7, 3, 35)])
+def test_relations_build_each_untwisted_image_once(monkeypatch, d, r, images):
+    # all eight unit K-matrices share one memo: one image per generator of
+    # W_1 (down) and of W_0 (up), not one per level
+    calls = count_generator_shifts(monkeypatch)
+    assert verify_relations(Context(d, r)).passed
+    assert calls == {"down": images, "up": images}
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (6, 3), (7, 3)])
+def test_unit_step_with_shared_memo_matches_memo_free(d, r):
+    ctx, memo = Context(d, r), {}
+    for k in range(-3, 4):
+        for g in enumerate_window(ctx, k):
+            for to_k, keep_det in product((k - 1, k + 1), (False, True)):
+                got = _unit_step(ctx, g, k, to_k, keep_det, memo)
+                assert got == _unit_step(ctx, g, k, to_k, keep_det), (g, k, to_k, keep_det)
+    # one image per generator of W_1 (down) and of W_0 (up), per keep_det
+    assert len(memo) == 4 * comb(d, r)
 
 
 def test_general_shift_identity_and_single_step():

@@ -156,3 +156,36 @@ def test_full_length_row_base_accepted():
     assert steps_as_tuples(data) == [((3, 1), 1), ((3, 2), 2), ((3, 3), 3)]
     assert Partition((3,)) in admissible_bases(ctx)
     assert Partition((3,)) not in window_bases(ctx)
+
+
+def literal_staircase(ctx, base):
+    """The `staircase_diagrams` docstring rule read literally: one
+    `base.col(k)` and r calls of `base.row(i)` per step."""
+    steps = []
+    for k in range(1, ctx.staircase_length + 1):
+        c = base.col(k)
+        rows = []
+        for i in range(1, ctx.r + 1):
+            if i <= c:
+                rows.append(base.row(i))
+            elif i == c + 1:
+                rows.append(k)
+            else:
+                rows.append(base.row(i - 1) + 1)
+        steps.append((Partition(tuple(rows)), ctx.r + k - (c + 1)))
+    return steps
+
+
+def test_staircase_diagrams_match_the_literal_rule():
+    bases = 0
+    for d in range(1, 11):
+        for r in range(1, d + 1):
+            ctx = Context(d, r)
+            for base in admissible_bases(ctx):
+                data = staircase_diagrams(ctx, base)
+                assert data.base == base
+                got = [(st.delta, st.s) for st in data.steps]
+                assert got == literal_staircase(ctx, base), (d, r, base)
+                bases += 1
+    # sum over d <= 10 of 2^d - 1: C(d, r - 1) bases for each r
+    assert bases == 2036

@@ -237,8 +237,8 @@ def test_relations_catch_a_bad_unit_step(monkeypatch):
     # one extra copy in one unit-step image must surface as a failed relation
     honest_step = shifts._unit_step
 
-    def bad_step(ctx, g, from_k, to_k, keep_det=False):
-        tc = honest_step(ctx, g, from_k, to_k, keep_det)
+    def bad_step(ctx, g, from_k, to_k, keep_det=False, memo=None):
+        tc = honest_step(ctx, g, from_k, to_k, keep_det, memo)
         if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
             return tc
         first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
@@ -361,8 +361,8 @@ def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d
     corrupt, first_failure = UNIT_STEP_CORRUPTIONS[name]
     honest_step = shifts._unit_step
 
-    def step(ctx, g, from_k, to_k, keep_det=False):
-        tc = honest_step(ctx, g, from_k, to_k, keep_det)
+    def step(ctx, g, from_k, to_k, keep_det=False, memo=None):
+        tc = honest_step(ctx, g, from_k, to_k, keep_det, memo)
         return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
 
     monkeypatch.setattr(shifts, "_unit_step", step)
@@ -394,7 +394,7 @@ def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products)
     assert count[0] == products
 
 
-@pytest.mark.parametrize("d, r", [(7, 3), (8, 4)])
+@pytest.mark.parametrize("d, r", [(7, 3), (8, 4), (10, 4)])
 def test_relations_pass_larger(d, r):
     assert verify_relations(Context(d, r)).passed
 
