@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .partitions import (
-    Context, Partition, ShapeError, _dotted_weyl, _translated, check_weight, dual_weight
+    Context, Partition, ShapeError, _dotted_weyl, _strip, _translated, check_weight, dual_weight
 )
 from .symfunc import SchurExpansion, _lr_class, dimension_gl
 
@@ -136,6 +136,8 @@ def hom_bundle_cohomology(
     dotted Weyl action, with zero Q^v weight, runs on the terms less the
     offset once per class and offset; the hits (degree, weight, mult) stay in
     the memo entry under (d, offset), and each call builds a fresh table.
+    The Q block of the rho-shifted vector is the run -r..-(d-1), so a term lam
+    vanishes, with no `_dotted_weyl` call, iff some row i has r <= i - lam_i < d.
     """
     r, d = ctx.r, ctx.d
     weights = {} if weights is None else weights
@@ -147,9 +149,9 @@ def hom_bundle_cohomology(
         tail = (0,) * (d - r)  # the Q^v weight
         hits = by_offset[(d, total)] = []  # one memo may serve several d at this r
         for key, mult in terms.items():
-            hit = _dotted_weyl(tuple(x - total for x in key + (0,) * (r - len(key))), tail)
-            if hit is not None:
-                hits.append((*hit, mult))
+            lam = tuple(x - total for x in key + (0,) * (r - len(key)))
+            if not any(r <= i - x < d for i, x in enumerate(lam)):
+                hits.append((*_dotted_weyl(lam, tail), mult))
     out = CohomologyTable()
     for hit in hits:
         out.add(*hit)
@@ -158,12 +160,9 @@ def hom_bundle_cohomology(
 
 def euler_character(ctx: Context, hw: HomogeneousWeight) -> SchurExpansion:
     """Alternating sum of the cohomology as a virtual GL(d) character."""
-    terms: dict[tuple[int, ...], int] = {}
-    for deg, row in bwb(ctx, hw).groups.items():
-        sign = -1 if deg % 2 else 1
-        for w, m in row.items():
-            terms[w] = terms.get(w, 0) + sign * m
-    return SchurExpansion(terms, rank=ctx.d)
+    groups = bwb(ctx, hw).groups  # one dominant weight at most: stripped, it is a key
+    terms = {_strip(w): (-1) ** deg * m for deg, row in groups.items() for w, m in row.items()}
+    return SchurExpansion._trusted(terms, ctx.d)
 
 
 def serre_dual(ctx: Context, hw: HomogeneousWeight) -> HomogeneousWeight:

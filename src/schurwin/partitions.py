@@ -10,6 +10,7 @@ function, so everything is safe to share across threads.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import index
 from typing import NamedTuple
 
 
@@ -25,7 +26,7 @@ def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _normalized(parts) -> tuple[int, ...]:
-    out = tuple(int(p) for p in parts)
+    out = tuple(map(int, map(index, parts)))  # a float or Fraction raises TypeError
     for a, b in zip(out, out[1:]):
         if a < b:
             raise ShapeError(f"parts not weakly decreasing: {list(out)}")
@@ -111,7 +112,7 @@ class Partition:
 
 def check_weight(entries, length: int | None = None) -> tuple[int, ...]:
     """Validate a weakly decreasing integer weight and return it as a tuple."""
-    w = tuple(int(x) for x in entries)
+    w = tuple(map(int, map(index, entries)))  # a float or Fraction raises TypeError
     for a, b in zip(w, w[1:]):
         if a < b:
             raise ShapeError(f"weight not weakly decreasing: {list(w)}")

@@ -17,6 +17,7 @@ once, and K-matrix products skip zeros: a unit step has few nonzeros per row.
 
 from __future__ import annotations
 
+import operator
 from math import comb
 from typing import NamedTuple
 
@@ -250,8 +251,8 @@ def _square(rows):
 
 
 def int_determinant(rows) -> int:
-    """Exact Bareiss determinant of a square integer matrix, else ShapeError."""
-    return _bareiss(_square([[int(x) for x in row] for row in rows]))
+    """Exact Bareiss determinant of a square int matrix, else ShapeError; a float: TypeError."""
+    return _bareiss(_square([list(map(int, map(operator.index, row))) for row in rows]))
 
 
 def unit_step_determinant(rows) -> int:

@@ -1,10 +1,12 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
 Products are computed by the Littlewood-Richardson tableau rule (exact integer
-coefficients, no floating point anywhere). Evaluation takes the Jacobi-Trudi
-determinant by Bareiss elimination at a point of ints, as given (any other
-point is cleared to b / q first, and a float coordinate raises TypeError);
-it stays well defined at repeated coordinates, with no bialternant ratio.
+coefficients, no floating point anywhere); a GL(r) product with a det-twisted
+column (c+1)^k c^(r-k), a wedge power say, is the Pieri rule on the other weight
+plus c. Evaluation takes the Jacobi-Trudi determinant by Bareiss elimination at
+a point of ints, as given (any other point is cleared to b / q first, and a
+float coordinate raises TypeError); it stays well defined at repeated
+coordinates, with no bialternant ratio.
 Coefficients and scalars are integers: a float or Fraction raises TypeError
 instead of being truncated. Nothing is cached between calls unless the caller
 passes its own table: `memo` for the LR terms of each translation class,
@@ -162,7 +164,8 @@ def _bump(shape, counts):
 
 def _add_column(shape, k, rank):
     """Pieri rule for s_shape * e_k: every way to add a vertical strip of k
-    boxes, at most one per row, within `rank` rows."""
+    boxes, at most one per row, within `rank` rows. It only compares
+    entries, so `shape` may be any weakly decreasing weight of length `rank`."""
     rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
     ext = shape + (0,) * (rows - len(shape))
     out, grown = {}, []
@@ -230,8 +233,6 @@ def _lr_class(r: int, u, v, memo=None, steps=None):
     derive per offset); the terms, each less the sum of the two offsets,
     decompose the untranslated tensor product. `steps` goes to `lr_multiply`.
     """
-    if r == 0:
-        return {(): 1}, {}
     pair = (u, v) if u <= v else (v, u)
     memo = {} if memo is None else memo
     entry = memo.get(pair)
@@ -242,9 +243,17 @@ def _lr_class(r: int, u, v, memo=None, steps=None):
 
 
 def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
-    """Decompose the GL(r) tensor product of two length-r dominant weights:
-    the LR terms `_lr_class` gives for their class, each less the offsets."""
-    (u, nu), (v, nv) = _translated(check_weight(u, r)), _translated(check_weight(v, r))
+    """Decompose the GL(r) tensor product of two length-r dominant weights. A
+    det-twisted column (c+1)^k c^(r-k) is det^c e_k: `_add_column` on the other
+    weight plus c, with no memo. Otherwise: the LR terms `_lr_class` gives for
+    the pair's translation class, each less the offsets."""
+    u, v = check_weight(u, r), check_weight(v, r)
+    if u and u[0] - u[-1] > 1:
+        u, v = v, u
+    if not u or u[0] - u[-1] <= 1:
+        c = u[-1] if u else 0
+        return SchurExpansion._trusted(_add_column(tuple(x + c for x in v), u.count(c + 1), r), r)
+    (u, nu), (v, nv) = _translated(u), _translated(v)
     terms, total = _lr_class(r, u, v, memo)[0], nu + nv
     return SchurExpansion._trusted(
         {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},

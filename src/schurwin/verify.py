@@ -268,17 +268,18 @@ def _wedge_v_character(ctx: Context, s: int) -> SchurExpansion:
 
 
 def _euler_failures(ctx: Context, bases):
-    q0 = (0,) * (ctx.d - ctx.r)
+    q0, wedges = (0,) * (ctx.d - ctx.r), {}  # one wedge character per s; one sum per base
     for base in bases:
         steps = staircase_diagrams(ctx, base).steps
-        total = euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0))
-        sign = -1
-        for st in steps:
+        total = dict(euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0)).terms)
+        for n, st in enumerate(steps, 1):
+            wedge = wedges.get(st.s) or wedges.setdefault(st.s, _wedge_v_character(ctx, st.s))
             chi = euler_character(ctx, HomogeneousWeight(st.delta.pad(ctx.r), q0))
-            total = total + sign * chi.multiply(_wedge_v_character(ctx, st.s))
-            sign = -sign
-        if not total.is_zero():
-            yield {"delta": list(base.parts), "residual": [[list(k), c] for k, c in total.items()]}
+            for k, c in chi.multiply(wedge).terms.items():
+                total[k] = total.get(k, 0) + (-1) ** n * c
+        residual = [[list(k), c] for k, c in sorted(total.items()) if c]
+        if residual:
+            yield {"delta": list(base.parts), "residual": residual}
 
 
 def verify_euler(ctx: Context, delta=None) -> VerificationReport:

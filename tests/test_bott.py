@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -195,31 +196,65 @@ def test_hom_bundle_shared_memo_matches_fresh_calls():
 
 def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     # Hom(S^v(gamma), S^v(delta)) depends only on the translated, sorted weight
-    # pair and the total offset: the dotted Weyl action runs once per LR term
-    # of each such key, not once per term of every box pair
+    # pair and the total offset: each LR term of each such key is classified
+    # once, not once per term of every box pair. The zero-Q^v vanish test sees
+    # every such term; only the survivors reach the dotted Weyl action
     ctx = Context(6, 3)
     shapes = box_partitions(ctx.r, ctx.d - ctx.r)
-    terms, keys, per_pair = {}, set(), 0
+    terms, keys, per_pair, lr_terms = {}, set(), 0, {}
     for gamma, delta in product(shapes, repeat=2):
         u, v = dual_weight(gamma.pad(ctx.r)), delta.pad(ctx.r)
         pair = tuple(sorted((tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v))))
         if pair not in terms:
-            terms[pair] = len(lr_multiply(pair[0], pair[1], rank=ctx.r).terms)
+            lr_terms[pair] = lr_multiply(pair[0], pair[1], rank=ctx.r).terms
+            terms[pair] = len(lr_terms[pair])
         keys.add((pair, -u[-1] - v[-1]))
         per_pair += terms[pair]
     assert (len(shapes) ** 2, len(terms), len(keys)) == (400, 55, 165)
     calls = [0]
     honest = bott._dotted_weyl
+    seen = Counter()
 
     def counted(*args):
         calls[0] += 1
+        seen[args] += 1
         return honest(*args)
 
     monkeypatch.setattr(bott, "_dotted_weyl", counted)
     memo = {}
     for gamma, delta in product(shapes, repeat=2):
         hom_bundle_cohomology(ctx, gamma, delta, memo)
-    assert calls[0] == sum(terms[pair] for pair, _ in keys) < per_pair
+    tail = (0,) * (ctx.d - ctx.r)
+    lams = [
+        tuple(x - total for x in key + (0,) * (ctx.r - len(key)))
+        for pair, total in keys
+        for key in lr_terms[pair]
+    ]
+    survivors = Counter((lam, tail) for lam in lams if honest(lam, tail) is not None)
+    assert sum(terms[pair] for pair, _ in keys) == len(lams) == 426 < per_pair
+    assert seen == survivors and calls[0] == 97
+
+
+def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
+    # hom_bundle_cohomology skips a term lam when some row i has
+    # r <= i - lam_i <= d - 1; fed one LR term at a time it must give exactly
+    # the dotted Weyl action's verdict, degree and weight
+    rng = random.Random(20)
+    term = {}
+    monkeypatch.setattr(bott, "_lr_class", lambda *args: (term, {}))
+    seen = set()
+    for _ in range(20000):
+        d = rng.randint(1, 10)
+        r = rng.randint(1, d)
+        lam = tuple(sorted((rng.randint(-d - 2, 3) for _ in range(r)), reverse=True))
+        t = max(0, -lam[-1])  # gamma = (t) makes the total offset t
+        term.clear()
+        term[tuple(x + t for x in lam)] = 1
+        table = hom_bundle_cohomology(Context(d, r), Partition((t,)), Partition(()))
+        hit = bott._dotted_weyl(lam, (0,) * (d - r))
+        assert table == CohomologyTable({} if hit is None else {hit[0]: {hit[1]: 1}}), (d, r, lam)
+        seen.add((hit is None, bool(hit and hit[0])))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_hom_bundle_memo_hit_returns_a_fresh_table():

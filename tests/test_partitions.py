@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,6 +160,30 @@ def test_weight_helpers():
     with pytest.raises(ShapeError):
         check_weight((1, 0), length=3)
     assert dual_weight((3, 1, -2)) == (2, -1, -3)
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, Fraction(3, 2), Fraction(4, 2)])
+def test_weights_and_partitions_refuse_non_int_entries(x):
+    # int() would truncate: check_weight((1.5, 0)) was (1, 0), Partition((2.5, 1)) had parts (2, 1)
+    with pytest.raises(TypeError):
+        check_weight((x, 0))
+    with pytest.raises(TypeError):
+        check_weight((3, x, 0), length=3)
+    with pytest.raises(TypeError):
+        Partition((x + 1, 1))
+    with pytest.raises(TypeError):
+        canonicalize((x, 0))
+
+
+def test_weights_and_partitions_keep_ints_exact():
+    # bools and other int subclasses become plain ints; a string stays refused
+    for w in (check_weight((True, False, -1)), Partition((True, True)).parts):
+        assert all(type(x) is int for x in w)
+    assert check_weight((True, False, -1)) == (1, 0, -1)
+    assert Partition((2, True)).parts == (2, 1)
+    with pytest.raises(TypeError):
+        check_weight(("1", "0"))
+    assert parse_int_tuple(" 2, 1 ") == (2, 1)  # the CLI's strings still go through int()
 
 
 def test_parse_int_tuple():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
@@ -253,6 +254,16 @@ def test_determinants_reject_ragged_or_non_square(rows):
     for determinant in (int_determinant, unit_step_determinant):
         with pytest.raises(ShapeError, match="not a square matrix"):
             determinant(rows)
+
+
+@pytest.mark.parametrize("x", [2.9, 2.0, Fraction(5, 2), Fraction(4, 2)])
+def test_int_determinant_refuses_non_int_entries(x):
+    # int() would truncate: int_determinant([[2.9, 0], [0, 1]]) was 2
+    for rows in ([[x, 0], [0, 1]], [[1, 0], [0, x]], [[x]]):
+        with pytest.raises(TypeError):
+            int_determinant(rows)
+    assert int_determinant([[True, 0], [0, 2]]) == 2
+    assert type(int_determinant([[True]])) is int
 
 
 def test_is_identity_is_false_off_square_entries():

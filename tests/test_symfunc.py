@@ -253,6 +253,16 @@ def test_tensor_gl_shift_independent():
         assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
 
 
+@pytest.mark.parametrize("x", [1.5, 2.0, Fraction(3, 2), Fraction(4, 2)])
+def test_tensor_gl_refuses_non_int_entries(x):
+    # int() would truncate: tensor_gl(2, (1.5, 0), (0, 0)) was {(1,): 1}
+    for u, v in (((x, 0), (0, 0)), ((0, 0), (x, 0)), ((x, 0), (3, 0)), ((5, 0), (x, -1))):
+        with pytest.raises(TypeError):
+            tensor_gl(2, u, v)
+        with pytest.raises(TypeError):
+            tensor_gl(2, u, v, memo={})
+
+
 def test_tensor_gl_rank_zero():
     assert tensor_gl(0, (), ()).terms == {(): 1}
 
@@ -588,6 +598,61 @@ def test_tensor_gl_memo_and_translation_independent():
         assert tensor_gl(r, u, tuple(x + c for x in v), memo=memo) == shifted
         assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
         assert len(memo) == size
+
+
+def _tensor_gl_by_translation(r, u, v):
+    """Reference: translate both weights to partitions, take their LR product
+    at rank r, and translate every term back (the path with no column rule)."""
+    nu, nv = (-u[-1], -v[-1]) if r else (0, 0)
+    prod_ = lr_multiply(tuple(x + nu for x in u), tuple(x + nv for x in v), rank=r)
+    out = {}
+    for key, c in prod_.terms.items():
+        w = tuple(x - nu - nv for x in key + (0,) * (r - len(key)))
+        while w and w[-1] == 0:
+            w = w[:-1]
+        out[w] = c
+    return out
+
+
+def _gl_weight(rng, r, low=-4, high=4):
+    return tuple(sorted((rng.randint(low, high) for _ in range(r)), reverse=True))
+
+
+def _random_column(rng, r, k=None):
+    c, k = rng.randint(-4, 4), rng.randint(0, r) if k is None else k
+    return (c + 1,) * k + (c,) * (r - k)
+
+
+def test_tensor_gl_column_rule_matches_translation_and_evaluation():
+    # a det-twisted column (c+1)^k c^(r-k) on either side, or both, against the
+    # translate -> lr_multiply -> translate-back path and against values
+    rng = random.Random(2013)
+    seen, evaluated = set(), 0
+    for n in range(3200):
+        r = n % 7
+        kind = rng.choice(("left", "right", "both", "neither"))
+        k = rng.choice((0, r, None))  # k = 0 and k = r are constant factors
+        col = _random_column(rng, r, k)
+        other = _random_column(rng, r) if kind == "both" else _gl_weight(rng, r)
+        u, v = (col, other) if kind in ("left", "both") else (other, col)
+        if kind == "neither":  # the LR class path, or a column by chance
+            u, v = _gl_weight(rng, r, -2, 1), _gl_weight(rng, r, -1, 2)
+        memo = {} if n % 2 else None
+        got = tensor_gl(r, u, v, memo=memo)
+        assert got.terms == _tensor_gl_by_translation(r, u, v), (r, u, v)
+        assert got.rank == r
+        seen.add((r, kind, k == 0 or k == r, min(u + v, default=0) < 0))
+        if r and n % 8 == 0:  # s_u * s_v = sum c * s_w at a point of distinct ints
+            pt = tuple(rng.sample(range(1, 12), r))
+            assert evaluate(got, pt) == schur_at(u, pt) * schur_at(v, pt), (r, u, v)
+            evaluated += 1
+    assert {r for r, *_ in seen} == set(range(7))
+    assert {kind for _, kind, *_ in seen} == {"left", "right", "both", "neither"}
+    assert {(kind, const, neg) for r, kind, const, neg in seen if r} >= {
+        (kind, const, neg)
+        for kind in ("left", "right", "both") for const in (True, False) for neg in (True, False)
+    }
+    assert evaluated >= 300
 
 
 @pytest.mark.parametrize("scalar", [1.5, Fraction(1, 2), 2.0, Fraction(4, 2)])

@@ -654,9 +654,56 @@ def test_tilting_passes_larger(d, r):
     assert verify_tilting(Context(d, r)).passed
 
 
-@pytest.mark.parametrize("d, r", [(8, 4), (10, 3)])
+@pytest.mark.parametrize("d, r", [(8, 4), (10, 3), (9, 4), (10, 4), (10, 5)])
 def test_euler_passes_larger(d, r):
     assert verify_euler(Context(d, r)).passed
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_euler_and_tilting_edge_contexts(d):
+    # Gr(0, d) and Gr(d, d) are points: no staircase bases, one box generator
+    for r in (0, d):
+        ctx = Context(d, r)
+        euler, tilting = verify_euler(ctx), verify_tilting(ctx)
+        assert (euler.passed, euler.parameters) == (
+            True, {"d": d, "r": r, "deltas": "all admissible"}
+        )
+        assert (tilting.passed, tilting.parameters) == (True, {"d": d, "r": r, "pairs": 1})
+
+
+def _euler_residual_by_fold(ctx, base, steps):
+    """Reference: the residual as the `total + sign * ...` fold of expansions."""
+    from schurwin.bott import HomogeneousWeight, euler_character
+
+    q0 = (0,) * (ctx.d - ctx.r)
+    total = euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0))
+    sign = -1
+    for st in steps:
+        chi = euler_character(ctx, HomogeneousWeight(st.delta.pad(ctx.r), q0))
+        total = total + sign * chi.multiply(verify._wedge_v_character(ctx, st.s))
+        sign = -sign
+    return [[list(k), c] for k, c in total.items()]
+
+
+@pytest.mark.parametrize("d, r", [(4, 2), (5, 2), (6, 3)])
+def test_euler_residuals_on_corrupted_staircases_match_the_fold(monkeypatch, d, r):
+    ctx = Context(d, r)
+    honest = verify.staircase_diagrams
+    failed = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        bases = admissible_bases(ctx)
+        base = bases[rng.randrange(len(bases))]
+        data = honest(ctx, base)
+        mutated = data._replace(steps=mutate_steps(rng, ctx, data.steps))
+        monkeypatch.setattr(verify, "staircase_diagrams", lambda ctx, b: mutated)
+        report = verify_euler(ctx, delta=base.parts)
+        residual = _euler_residual_by_fold(ctx, base, mutated.steps)
+        assert report.passed == (residual == [])
+        if residual:
+            assert report.counterexample == {"delta": list(base.parts), "residual": residual}
+            failed += 1
+    assert failed >= 10
 
 
 def _failing_reports(monkeypatch):
