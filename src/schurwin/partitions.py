@@ -3,6 +3,9 @@ one home of three exact rules other modules share: `_dotted_weyl`, Bott's
 dotted Weyl action, which also straightens Schur weights; `_translated`, the
 translation `canonicalize` names generators by; `_bareiss`, the integer determinant.
 
+`Partition(...)`, `check_weight` and `canonicalize` validate their input;
+`Partition._trusted` and `_label` trust it, so they take only the library's own tuples.
+
 Values here are immutable and usable as dict keys; every operation is a pure
 function, so everything is safe to share across threads.
 """
@@ -46,6 +49,13 @@ class Partition:
 
     def __init__(self, parts=()):
         object.__setattr__(self, "parts", _normalized(parts))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Build from stripped, weakly decreasing non-negative ints, unchecked."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -242,6 +252,14 @@ def canonicalize(w, det_power: int = 0) -> GeneratorLabel:
     """
     w, n = _translated(check_weight(w))
     return GeneratorLabel(Partition(w), det_power - n)
+
+
+def _label(p: Partition, r: int, m: int) -> GeneratorLabel:
+    """`canonicalize(p.pad(r), m)`, unchecked, for a trusted p with at most r parts."""
+    if len(p.parts) < r or not p.parts:
+        return GeneratorLabel(p, m)
+    last = p.parts[-1]
+    return GeneratorLabel(Partition._trusted(_strip(tuple(x - last for x in p.parts))), m + last)
 
 
 def box_partitions(rows: int, cols: int) -> list[Partition]:

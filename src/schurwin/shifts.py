@@ -13,6 +13,7 @@ The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 A call of `general_shift` or `k_matrix` builds each untwisted unit-step image
 once, and K-matrix products skip zeros: a unit step has few nonzeros per row.
+An image checks only the caller's generator; its staircase rows and labels are trusted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import operator
 from math import comb
 from typing import NamedTuple
 
-from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, canonicalize
+from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, _label
 from .staircase import base_from_top, staircase_diagrams
 from .windows import enumerate_window, in_window
 
@@ -81,8 +82,8 @@ def shift_down_generator(ctx: Context, g: GeneratorLabel) -> TermComplex:
     data = staircase_diagrams(ctx, base)
     terms = []
     for idx, st in enumerate(reversed(data.steps[:-1])):
-        terms.append(Term(idx, canonicalize(st.delta.pad(ctx.r)), st.s))
-    terms.append(Term(len(data.steps) - 1, canonicalize(base.pad(ctx.r)), 0))
+        terms.append(Term(idx, _label(st.delta, ctx.r, 0), st.s))
+    terms.append(Term(len(data.steps) - 1, _label(base, ctx.r, 0), 0))
     return TermComplex(tuple(terms), honest=True)
 
 
@@ -105,10 +106,8 @@ def shift_up_generator(
     span = len(data.steps) - 1
     terms = []
     for idx, st in enumerate(reversed(data.steps)):
-        ext = st.s
-        if ext == ctx.d and not keep_det:
-            ext = 0
-        terms.append(Term(-span + idx, canonicalize(st.delta.pad(ctx.r)), ext))
+        ext = 0 if st.s == ctx.d and not keep_det else st.s
+        terms.append(Term(-span + idx, _label(st.delta, ctx.r, 0), ext))
     return TermComplex(tuple(terms), honest=True)
 
 

@@ -4,6 +4,7 @@ A base diagram with at most r-1 parts, none longer than d-r+1, determines
 K = d-r+1 larger diagrams delta_k and exterior powers s_k; the bundles
 S^v(delta_k) (x) wedge^{s_k} V assemble into a long exact sequence ending in
 S^v(base). Only the graded terms are computed here, never the differentials.
+A base or top passed in is validated; the rows built from it are trusted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .partitions import Context, Partition, ShapeError, box_partitions
+from .partitions import Context, Partition, ShapeError, _strip, box_partitions
 
 
 class StaircaseStep(NamedTuple):
@@ -62,7 +63,7 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
         while c and base[c - 1] < k:
             c -= 1  # c is col_k: the number of base rows of length >= k
         rows = base[:c] + (k,) + tuple(x + 1 for x in base[c:])
-        steps.append(StaircaseStep(Partition(rows), r + k - (c + 1)))
+        steps.append(StaircaseStep(Partition._trusted(rows), r + k - (c + 1)))
     return StaircaseData(ctx, delta, tuple(steps))
 
 
@@ -101,7 +102,7 @@ def base_from_top(ctx: Context, top) -> Partition:
     tail = tuple(x - 1 for x in w[1:])
     if tail and tail[-1] < 0:
         raise ShapeError(f"no preimage: {list(top.parts)} has an empty final row")
-    return check_admissible_base(ctx, Partition(tail))
+    return check_admissible_base(ctx, Partition._trusted(_strip(tail)))
 
 
 def admissible_bases(ctx: Context) -> list[Partition]:

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .partitions import (
-    Context,
-    GeneratorLabel,
-    ShapeError,
-    box_partitions,
-    canonicalize,
-)
+from .partitions import Context, GeneratorLabel, ShapeError, _label, box_partitions
+
+WINDOW_LIMIT = 10**6  # most generators `enumerate_window` may list
 
 
 def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
@@ -19,12 +15,13 @@ def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
     One generator per partition in the r x (d-r) box, twisted by det(S^v)^k;
     the set always has exactly C(d, r) elements. The twist adds a constant
     to every entry, so the graded-lex order of `box_partitions` carries over.
+    Past WINDOW_LIMIT generators it raises `ShapeError` before listing any.
     """
-    labels = [
-        canonicalize(p.pad(ctx.r), k)
-        for p in box_partitions(ctx.box_rows, ctx.box_cols)
-    ]
-    if len(labels) != comb(ctx.d, ctx.r):
+    if (n := comb(ctx.d, ctx.r)) > WINDOW_LIMIT:
+        raise ShapeError(f"W_{k} has C({ctx.d}, {ctx.r}) = {n:,} generators, "
+                         f"over WINDOW_LIMIT={WINDOW_LIMIT:,}")
+    labels = [_label(p, ctx.r, k) for p in box_partitions(ctx.box_rows, ctx.box_cols)]
+    if len(labels) != n:
         raise ShapeError(f"W_{k} has {len(labels)} generators, not C({ctx.d}, {ctx.r})")
     return labels
 

@@ -131,6 +131,16 @@ def test_exactness_past_the_sample_limit_exits_2(capsys):
         assert f"at most {SAMPLE_LIMIT} coordinates" in err
 
 
+def test_windows_past_the_window_limit_exits_2(capsys):
+    from schurwin.windows import WINDOW_LIMIT
+
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "windows", "--d", "40", "--r", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"over WINDOW_LIMIT={WINDOW_LIMIT:,}" in err
+
+
 def test_exactness_past_the_work_limit_exits_2(capsys):
     from schurwin.verify import WORK_LIMIT
 

@@ -1,13 +1,17 @@
 from math import comb
 
+import pytest
+
+from schurwin import windows
 from schurwin.partitions import (
     Context,
     GeneratorLabel,
     Partition,
+    ShapeError,
     canonicalize,
     graded_lex_key,
 )
-from schurwin.windows import enumerate_window, in_window
+from schurwin.windows import WINDOW_LIMIT, enumerate_window, in_window
 
 
 def weights_of(ctx, labels):
@@ -114,3 +118,30 @@ def test_window_order_needs_no_resort():
                 labels = enumerate_window(ctx, k)
                 resorted = sorted(labels, key=lambda g: graded_lex_key(g.weight(r)))
                 assert labels == resorted, (d, r, k)
+
+
+def refuse_to_list(*args):
+    raise AssertionError("box_partitions ran past the window limit")
+
+
+@pytest.mark.parametrize("d, r", [(23, 11), (40, 20), (10**6 + 1, 1)])
+def test_window_past_the_limit_is_refused_before_listing(monkeypatch, d, r):
+    monkeypatch.setattr(windows, "box_partitions", refuse_to_list)
+    with pytest.raises(ShapeError, match=f"over WINDOW_LIMIT={WINDOW_LIMIT:,}"):
+        enumerate_window(Context(d, r), 0)
+
+
+def test_window_limit_is_on_the_generator_count(monkeypatch):
+    monkeypatch.setattr(windows, "WINDOW_LIMIT", 6)
+    assert len(enumerate_window(Context(4, 2), 0)) == 6
+    with pytest.raises(ShapeError, match="C\\(5, 2\\) = 10 generators, over WINDOW_LIMIT=6"):
+        enumerate_window(Context(5, 2), 1)
+
+
+def test_window_limit_admits_every_cell_in_use():
+    # the tests, golden files and benchmark stay below d = 15; every cell up
+    # to d = 22 is admitted, the largest being C(22, 11) = 705,432
+    assert max(comb(d, r) for d in range(23) for r in range(d + 1)) <= WINDOW_LIMIT
+    assert comb(23, 11) > WINDOW_LIMIT
+    for d, r in [(10, 5), (12, 6), (14, 7)]:
+        assert len(enumerate_window(Context(d, r), 0)) == comb(d, r)
