@@ -12,7 +12,8 @@ collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 A call of `general_shift` or `k_matrix` builds each untwisted unit-step image
-once, and K-matrix products skip zeros: a unit step has few nonzeros per row.
+once and reads it untwisted at every level; `general_shift` builds none for a
+label in both windows. K-matrix products skip zeros: a unit step has few nonzeros per row.
 An image checks only the caller's generator; its staircase rows and labels are trusted.
 """
 
@@ -115,27 +116,21 @@ def _unit_step(
     ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, keep_det: bool = False, memo=None
 ) -> TermComplex:
     """One-step shift between adjacent windows, via det-twist conjugation: the
-    untwisted W_1 -> W_0 or W_0 -> W_1 image is kept under (untwisted label,
-    downward, keep_det) in the caller's `memo`, if any, and twisted back."""
+    W_1 -> W_0 or W_0 -> W_1 image of g untwisted by det^t, t = min(from_k, to_k),
+    kept under (untwisted label, downward, keep_det) in the caller's `memo`, if
+    any. The image is not twisted back: its det powers are less t."""
     if abs(from_k - to_k) != 1:
         raise ShapeError("unit step requires adjacent windows")
+    down, twist = to_k < from_k, min(from_k, to_k)
     if ctx.r == 0:
         # rank zero: every window is generated by the trivial bundle; the
-        # shift is the identity, relabelled with the target window's marker
-        return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k)),))
-    down = to_k < from_k
-    twist = to_k if down else from_k
+        # shift is the identity, relabelled with the target window's marker less t
+        return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k - twist)),))
     g0 = GeneratorLabel(g.delta, g.det_power - twist)
     key, memo = (g0, down, keep_det), {} if memo is None else memo
     if key not in memo:
         memo[key] = shift_down_generator(ctx, g0) if down else shift_up_generator(ctx, g0, keep_det)
-    if not twist:
-        return memo[key]
-    terms = tuple(
-        Term(t.degree, GeneratorLabel(t.label.delta, t.label.det_power + twist), *t[2:])
-        for t in memo[key].terms
-    )
-    return TermComplex(terms, honest=True)
+    return memo[key]
 
 
 def general_shift(
@@ -146,35 +141,47 @@ def general_shift(
     Degrees add; like terms are never collapsed. The result is an honest
     complex only for |from - to| <= 1, otherwise a skeleton whose contract is
     its graded terms and K-class.
+    The step k -> k +- 1 is the untwisted step src -> dst twisted by det^(k - src),
+    (src, dst) = (1, 0) or (0, 1). A term is a plain tuple whose label is a node: one
+    per distinct label, det power less that twist, holding its image, built once per
+    call (at r > 0 none for a label in W_src and W_dst: it is its own), and its label in W_to.
     """
     if not in_window(g, from_k, ctx):
         raise ShapeError(f"generator not in W_{from_k}: {g}")
-    terms: list[Term] = [Term(0, g)]
-    current = from_k
     step = -1 if to_k < from_k else 1
-    memo: dict = {}  # untwisted unit-step images, shared by every step
-    while current != to_k:
-        nxt = current + step
-        new_terms: list[Term] = []
-        images: dict[GeneratorLabel, TermComplex] = {}
-        for t in terms:
-            if t.label not in images:
-                images[t.label] = _unit_step(ctx, t.label, current, nxt, keep_det, memo)
-            for u in images[t.label].terms:
-                copies = t.copies * u.copies
-                if t.ext_power == 0:
-                    ext = u.ext_power
-                elif u.ext_power == 0:
-                    ext = t.ext_power
+    src, dst = (1, 0) if step < 0 else (0, 1)
+    nodes: dict = {}  # (delta, det) -> [untwisted label, its image or None, label in W_to]
+
+    def node(delta, m):
+        nd = nodes.get((delta, m))
+        if nd is None:
+            final = GeneratorLabel(delta, m + to_k - src)
+            nd = nodes[delta, m] = [GeneratorLabel(delta, m), None, final]
+        return nd
+
+    terms = [(0, node(g.delta, g.det_power - from_k + src), 0, 1)]  # (degree, node, ext, copies)
+    for _ in range(from_k, to_k, step):
+        new_terms = []
+        for degree, nd, ext_t, copies_t in terms:
+            if nd[1] is None:  # an image's nodes are relative to the next step's twist
+                g0 = nd[0]
+                if ctx.r and in_window(g0, dst, ctx) and in_window(g0, src, ctx):
+                    nd[1] = [(0, node(g0.delta, g0.det_power - step), 0, 1)]
                 else:
+                    nd[1] = [(u.degree, node(u.label.delta, u.label.det_power - step), *u[2:])
+                             for u in _unit_step(ctx, g0, src, dst, keep_det).terms]
+            for u_degree, u_node, ext, copies in nd[1]:
+                copies *= copies_t
+                if ext == 0:
+                    ext = ext_t
+                elif ext_t:
                     # two wedge factors on one term: fold the inherited one
                     # into the copy count, keeping the K-class intact
-                    ext = u.ext_power
-                    copies *= comb(ctx.d, t.ext_power)
-                new_terms.append(Term(t.degree + u.degree, u.label, ext, copies))
+                    copies *= comb(ctx.d, ext_t)
+                new_terms.append((degree + u_degree, u_node, ext, copies))
         terms = new_terms
-        current = nxt
-    terms.sort(key=lambda t: t.degree)
+    terms.sort(key=operator.itemgetter(0))
+    terms = [Term(deg, nd[2], ext, copies) for deg, nd, ext, copies in terms]
     return TermComplex(tuple(terms), honest=abs(from_k - to_k) <= 1)
 
 
@@ -278,7 +285,9 @@ def unit_step_determinant(rows) -> int:
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     """K-class matrix of the window shift, composed from unit steps that share
-    one memo of untwisted images (`_unit_step`): the caller's `memo`, if given."""
+    one memo of untwisted images (`_unit_step`): the caller's `memo`, if given.
+    Each level indexes its target basis by untwisted label, so `k_class` reads
+    the shared images as they are."""
     if from_k == to_k:
         n = len(enumerate_window(ctx, from_k))
         entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -291,7 +300,8 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     while current != to_k:
         nxt = current + step
         b_to = enumerate_window(ctx, nxt)
-        index = {g: i for i, g in enumerate(b_to)}
+        twist = min(current, nxt)
+        index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
         unit = tuple(
             k_class(ctx, _unit_step(ctx, g, current, nxt, memo=memo), b_to, index) for g in b_from
         )

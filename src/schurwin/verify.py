@@ -364,8 +364,8 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     det M_kl is the product of the det U on its way, each taken exactly from
     U's block off its standard unit (overlap) rows: no dense determinant.
     The unit K-matrices share one memo of untwisted unit-step images; every
-    level was always rebuilt from the same untwisted image, so det-conjugation
-    keeps its strength: it tests each re-twist and each window's indexing.
+    level reads the same untwisted image, so det-conjugation keeps its
+    strength: it tests each level's `_unit_step` and untwisted indexing.
     """
     t0 = time.perf_counter()
     ks = sorted(k_range)

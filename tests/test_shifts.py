@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from schurwin import shifts
-from schurwin.partitions import Context, GeneratorLabel, ShapeError, canonicalize
+from schurwin.partitions import Context, GeneratorLabel, Partition, ShapeError, canonicalize
 from schurwin.shifts import (
     KMatrix,
     Term,
@@ -315,13 +315,16 @@ def test_mat_mul_matches_naive_triple_loop():
 
 
 def substituted_shift(ctx, from_k, to_k, g, keep_det):
-    """Termwise unit-step substitution with a fresh `_unit_step` per term."""
+    """Termwise unit-step substitution with a fresh `_unit_step` per term,
+    each untwisted image twisted back here by det^min(k, k +- 1)."""
     terms = [Term(0, g)]
     step = -1 if to_k < from_k else 1
     for current in range(from_k, to_k, step):
+        twist = min(current, current + step)
         new_terms = []
         for t in terms:
             for u in _unit_step(ctx, t.label, current, current + step, keep_det).terms:
+                label = GeneratorLabel(u.label.delta, u.label.det_power + twist)
                 copies = t.copies * u.copies
                 if t.ext_power == 0:
                     ext = u.ext_power
@@ -330,17 +333,20 @@ def substituted_shift(ctx, from_k, to_k, g, keep_det):
                 else:
                     ext = u.ext_power
                     copies *= comb(ctx.d, t.ext_power)
-                new_terms.append(Term(t.degree + u.degree, u.label, ext, copies))
+                new_terms.append(Term(t.degree + u.degree, label, ext, copies))
         terms = new_terms
     terms.sort(key=lambda t: t.degree)
     return TermComplex(tuple(terms), honest=abs(from_k - to_k) <= 1)
 
 
-@pytest.mark.parametrize("d,r", [(5, 2), (6, 3)])
+@pytest.mark.parametrize("d,r", [(5, 2), (6, 3), (8, 4), (4, 0), (5, 0), (4, 4), (5, 5)])
 def test_general_shift_matches_unmemoized_substitution(d, r):
     ctx = Context(d, r)
-    for from_k, to_k in [(2, -2), (-2, 2)]:
-        for g in enumerate_window(ctx, from_k):
+    for from_k, to_k in [(2, -2), (-2, 2), (3, -1), (-1, 3), (1, 1)]:
+        gens = enumerate_window(ctx, from_k)
+        if r == 0:  # every label lies in every window; the CLI's is ((), 0)
+            gens += [GeneratorLabel(Partition(()), m) for m in range(-3, 4)]
+        for g in gens:
             for keep_det in (False, True):
                 got = general_shift(ctx, from_k, to_k, g, keep_det=keep_det)
                 ref = substituted_shift(ctx, from_k, to_k, g, keep_det)
@@ -383,6 +389,38 @@ def test_general_shift_builds_each_untwisted_image_once(monkeypatch):
     ctx = Context(8, 4)
     general_shift(ctx, 2, -2, enumerate_window(ctx, 2)[-1])
     assert calls == {"down": 35, "up": 0}
+
+
+def test_general_shift_sweeps_build_no_overlap_image(monkeypatch):
+    # one image per distinct label per call, and none for a label in both
+    # windows of its step: it is its own image
+    calls = count_generator_shifts(monkeypatch)
+    imaged = []
+    for name in ("shift_down_generator", "shift_up_generator"):
+
+        def recorded(ctx, g, *args, _counted=getattr(shifts, name)):
+            imaged.append(g)
+            return _counted(ctx, g, *args)
+
+        monkeypatch.setattr(shifts, name, recorded)
+    ctx = Context(8, 4)
+    for from_k, to_k in [(2, -2), (-2, 2)]:
+        for g in enumerate_window(ctx, from_k):
+            general_shift(ctx, from_k, to_k, g)
+    assert calls == {"down": 758, "up": 758}
+    assert [g for g in imaged if in_window(g, 0, ctx) and in_window(g, 1, ctx)] == []
+
+
+@pytest.mark.parametrize("from_k, to_k", [(2, -2), (-2, 2)])
+def test_general_shift_terms_share_one_label_per_distinct_label(from_k, to_k):
+    # equal labels in one skeleton are one object: a sweep keeps far fewer
+    ctx, repeated = Context(8, 4), 0
+    for g in enumerate_window(ctx, from_k):
+        terms = general_shift(ctx, from_k, to_k, g).terms
+        labels = {t.label for t in terms}
+        assert len({id(t.label) for t in terms}) == len(labels), g
+        repeated += len(terms) - len(labels)
+    assert repeated > 1000
 
 
 @pytest.mark.parametrize("d, r, images", [(6, 3, 20), (7, 3, 35)])
