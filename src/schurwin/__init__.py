@@ -13,7 +13,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "bott": "CohomologyTable HomogeneousWeight bwb euler_character "
-    "hom_bundle_cohomology schur_bundle_weight serre_dual",
+    "hom_bundle_cohomology serre_dual",
     "partitions": "Context GeneratorLabel Partition ShapeError box_partitions "
     "canonicalize check_weight dual_weight parse_int_tuple",
     "shifts": "KMatrix Term TermComplex cotwist_shift_amount general_shift "

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .partitions import (
     Context, Partition, ShapeError, _dotted_weyl, _strip, _translated, check_weight, dual_weight
 )
-from .symfunc import SchurExpansion, _lr_class, dimension_gl
+from .symfunc import SchurExpansion, dimension_gl, lr_multiply
 
 
 class _HomogeneousWeightFields(NamedTuple):
@@ -102,19 +102,6 @@ def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
     return table
 
 
-def schur_bundle_weight(ctx: Context, delta, dual: bool = False) -> HomogeneousWeight:
-    """Homogeneous weight of S^v(delta), or of S^(delta) when dual=True.
-
-    Translating an S^(delta) input to the S^v side negates and reverses the
-    padded weight; the Q^v side is always zero here.
-    """
-    delta = delta if isinstance(delta, Partition) else Partition(tuple(delta))
-    w = delta.pad(ctx.r)
-    if dual:
-        w = dual_weight(w)
-    return HomogeneousWeight(w, (0,) * (ctx.d - ctx.r))
-
-
 def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[tuple[int, ...], int]:
     """`shape` padded to length r, dualised if `dual`, `_translated`; kept in `weights`."""
     shape = shape if isinstance(shape, Partition) else Partition(tuple(shape))
@@ -123,6 +110,17 @@ def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[tuple[int, ..
     if hit is None:
         hit = weights[key] = _translated(dual_weight(shape.pad(r)) if dual else shape.pad(r))
     return hit
+
+
+def _lr_class(r: int, u, v, memo=None, steps=None):
+    """`memo` entry (a dict the caller owns) of the translation class of two
+    `_translated` length-r weights, keyed by the sorted pair: (their LR terms
+    at r rows, {(d, offset): Bott hits}). `steps` goes to `lr_multiply`."""
+    pair = (u, v) if u <= v else (v, u)
+    memo = {} if memo is None else memo
+    if pair not in memo:
+        memo[pair] = (lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms, {})
+    return memo[pair]
 
 
 def hom_bundle_cohomology(

@@ -27,6 +27,8 @@ from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss
 from .staircase import base_from_top, staircase_diagrams
 from .windows import enumerate_window, in_window
 
+SKELETON_LIMIT = 10**5  # most terms one level of a `general_shift` skeleton may hold
+
 
 class Term(NamedTuple):
     degree: int
@@ -140,7 +142,7 @@ def general_shift(
 
     Degrees add; like terms are never collapsed. The result is an honest
     complex only for |from - to| <= 1, otherwise a skeleton whose contract is
-    its graded terms and K-class.
+    its graded terms and K-class. A level past SKELETON_LIMIT terms raises ShapeError.
     The step k -> k +- 1 is the untwisted step src -> dst twisted by det^(k - src),
     (src, dst) = (1, 0) or (0, 1). A term is a plain tuple whose label is a node: one
     per distinct label, det power less that twist, holding its image, built once per
@@ -164,8 +166,8 @@ def general_shift(
         new_terms = []
         for degree, nd, ext_t, copies_t in terms:
             if nd[1] is None:  # an image's nodes are relative to the next step's twist
-                g0 = nd[0]
-                if ctx.r and in_window(g0, dst, ctx) and in_window(g0, src, ctx):
+                g0 = nd[0]  # in W_src by construction
+                if ctx.r and in_window(g0, dst, ctx):
                     nd[1] = [(0, node(g0.delta, g0.det_power - step), 0, 1)]
                 else:
                     nd[1] = [(u.degree, node(u.label.delta, u.label.det_power - step), *u[2:])
@@ -179,6 +181,9 @@ def general_shift(
                     # into the copy count, keeping the K-class intact
                     copies *= comb(ctx.d, ext_t)
                 new_terms.append((degree + u_degree, u_node, ext, copies))
+            if len(new_terms) > SKELETON_LIMIT:
+                raise ShapeError(f"a level of the W_{from_k} -> W_{to_k} skeleton has "
+                                 f"over SKELETON_LIMIT={SKELETON_LIMIT:,} terms")
         terms = new_terms
     terms.sort(key=operator.itemgetter(0))
     terms = [Term(deg, nd[2], ext, copies) for deg, nd, ext, copies in terms]

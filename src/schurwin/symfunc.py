@@ -9,8 +9,8 @@ float coordinate raises TypeError); it stays well defined at repeated
 coordinates, with no bialternant ratio.
 Coefficients and scalars are integers: a float or Fraction raises TypeError
 instead of being truncated. Nothing is cached between calls unless the caller
-passes its own table: `memo` for the LR terms of each translation class,
-`steps` for the LR strip-DP transitions, `h` for `_h_table` at a point of ints.
+passes its own table: `steps` for the LR strip-DP transitions, `h` for
+`_h_table` at a point of ints.
 """
 
 from __future__ import annotations
@@ -188,10 +188,9 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     """Schur product s_a * s_b by Littlewood-Richardson tableau enumeration.
 
     Keys with more than `rank` rows are truncated away (they vanish in rank
-    variables). Commutative; the smaller diagram is used as the filling. When
-    either factor is a single column the Pieri rule adds it as a vertical
-    strip directly. `steps`, a dict the caller owns, keeps each DP state's
-    successors under (state, letter size, rank) across products.
+    variables). Commutative; the smaller diagram is used as the filling.
+    `steps`, a dict the caller owns, keeps each DP state's successors under
+    (state, letter size, rank) across products.
     """
     a = a if isinstance(a, Partition) else Partition(tuple(a))
     b = b if isinstance(b, Partition) else Partition(tuple(b))
@@ -199,10 +198,6 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
         a, b = b, a
     if rank is not None and len(a) > rank:
         return SchurExpansion._trusted({}, rank)
-    if a.parts[:1] == (1,):
-        a, b = b, a
-    if b.parts[:1] == (1,):
-        return SchurExpansion._trusted(_add_column(a.parts, len(b), rank), rank)
     # state: (shape so far, cumulative row counts of the last letter placed)
     states: dict = {(a.parts, None): 1}
     steps = {} if steps is None else steps
@@ -226,27 +221,11 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     return SchurExpansion._trusted(out, rank)
 
 
-def _lr_class(r: int, u, v, memo=None, steps=None):
-    """Memo entry of the translation class of two `_translated` length-r
-    weights; the sorted pair keys `memo` (a dict the caller owns). The entry
-    is (LR terms truncated at r rows, a dict where callers keep what they
-    derive per offset); the terms, each less the sum of the two offsets,
-    decompose the untranslated tensor product. `steps` goes to `lr_multiply`.
-    """
-    pair = (u, v) if u <= v else (v, u)
-    memo = {} if memo is None else memo
-    entry = memo.get(pair)
-    if entry is None:
-        entry = (lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms, {})
-        memo[pair] = entry
-    return entry
-
-
-def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
+def tensor_gl(r: int, u, v) -> SchurExpansion:
     """Decompose the GL(r) tensor product of two length-r dominant weights. A
     det-twisted column (c+1)^k c^(r-k) is det^c e_k: `_add_column` on the other
-    weight plus c, with no memo. Otherwise: the LR terms `_lr_class` gives for
-    the pair's translation class, each less the offsets."""
+    weight plus c. Otherwise: the LR product of the two `_translated` weights
+    at r rows, each term less the offsets."""
     u, v = check_weight(u, r), check_weight(v, r)
     if u and u[0] - u[-1] > 1:
         u, v = v, u
@@ -254,7 +233,7 @@ def tensor_gl(r: int, u, v, memo=None) -> SchurExpansion:
         c = u[-1] if u else 0
         return SchurExpansion._trusted(_add_column(tuple(x + c for x in v), u.count(c + 1), r), r)
     (u, nu), (v, nv) = _translated(u), _translated(v)
-    terms, total = _lr_class(r, u, v, memo)[0], nu + nv
+    terms, total = lr_multiply(u, v, r).terms, nu + nv
     return SchurExpansion._trusted(
         {_strip(tuple(x - total for x in _pad(key, r))): c for key, c in terms.items()},
         r,

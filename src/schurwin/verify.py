@@ -78,8 +78,10 @@ def _report(check: str, parameters: dict, t0: float, failures, notes) -> Verific
 
 
 def _bases(ctx: Context, delta):
-    """The staircase bases a check runs over, and its "deltas" parameter."""
+    """The staircase bases a check runs over, and its "deltas" parameter; all
+    C(d, r - 1) admissible bases if `delta` is None, unless past SWEEP_LIMIT."""
     if delta is None:
+        _refuse_past_sweep_limit("bases", ctx.r and comb(ctx.d, ctx.r - 1))
         return admissible_bases(ctx), "all admissible"
     base = Partition(tuple(delta))
     return [base], list(base.parts)
@@ -87,6 +89,13 @@ def _bases(ctx: Context, delta):
 
 SAMPLE_LIMIT = 6087  # how many distinct fractions n/m have 1 <= n, m <= 100
 WORK_LIMIT = 10**8  # most terms one localization check may evaluate
+SWEEP_LIMIT = 3 * 10**5  # most (gamma, delta) pairs, or staircase bases, one sweep may list
+
+
+def _refuse_past_sweep_limit(what: str, n: int) -> None:
+    """Refuse a sweep over n `what` past SWEEP_LIMIT, before listing any."""
+    if n > SWEEP_LIMIT:
+        raise ShapeError(f"the sweep has {n:,} {what}, over SWEEP_LIMIT={SWEEP_LIMIT:,}")
 
 
 def _refuse_past_work_limit(ctx: Context, samples: int, staircases: int | None) -> None:
@@ -312,8 +321,10 @@ def _tilting_failures(ctx: Context, shapes):
 
 
 def verify_tilting(ctx: Context) -> VerificationReport:
-    """Ext-vanishing sweep: no higher cohomology between box generators."""
+    """Ext-vanishing sweep: no higher cohomology between box generators; past
+    SWEEP_LIMIT pairs it raises ShapeError before listing any."""
     t0 = time.perf_counter()
+    _refuse_past_sweep_limit("(gamma, delta) pairs", comb(ctx.d, ctx.r) ** 2)
     shapes = box_partitions(ctx.box_rows, ctx.box_cols)
     return _report(
         "tilting",

@@ -11,12 +11,17 @@ from schurwin.bott import (
     bwb,
     euler_character,
     hom_bundle_cohomology,
-    schur_bundle_weight,
     serre_dual,
 )
 from schurwin.partitions import Context, Partition, ShapeError, box_partitions, dual_weight
 from schurwin.symfunc import dimension_gl, lr_multiply
 from schurwin.verify import verify_tilting
+
+
+def schur_bundle_weight(ctx, delta, dual=False):
+    """Homogeneous weight of S^v(delta), or of S^(delta) = S^v(delta)^v when dual=True."""
+    w = delta.pad(ctx.r)
+    return HomogeneousWeight(dual_weight(w) if dual else w, (0,) * (ctx.d - ctx.r))
 
 
 def line_bundle_on_p1(w):

@@ -141,6 +141,34 @@ def test_windows_past_the_window_limit_exits_2(capsys):
     assert f"over WINDOW_LIMIT={WINDOW_LIMIT:,}" in err
 
 
+def test_shift_past_the_skeleton_limit_exits_2(capsys):
+    from schurwin.shifts import SKELETON_LIMIT
+
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "shift", "--d", "4", "--r", "2", "--from", "10", "--to", "-10",
+                         "--gen=12,12")
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert f"over SKELETON_LIMIT={SKELETON_LIMIT:,} terms" in err
+
+
+def test_tilting_and_euler_past_the_sweep_limit_exit_2(capsys):
+    from math import comb
+
+    from schurwin.verify import SWEEP_LIMIT
+
+    # (11,5) tilting still runs; (12,6) lists 853,776 pairs
+    assert comb(11, 5) ** 2 <= SWEEP_LIMIT < comb(12, 6) ** 2
+    for argv in (("tilting", "--d", "12", "--r", "6"), ("euler", "--d", "40", "--r", "20")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert f"over SWEEP_LIMIT={SWEEP_LIMIT:,}" in err
+    code, out, _ = run(capsys, "verify", "euler", "--d", "40", "--r", "20", "--delta", "1")
+    assert code == 0 and "PASS" in out
+
+
 def test_exactness_past_the_work_limit_exits_2(capsys):
     from schurwin.verify import WORK_LIMIT
 

@@ -393,8 +393,16 @@ def test_general_shift_builds_each_untwisted_image_once(monkeypatch):
 
 def test_general_shift_sweeps_build_no_overlap_image(monkeypatch):
     # one image per distinct label per call, and none for a label in both
-    # windows of its step: it is its own image
+    # windows of its step: it is its own image. Every label a step reaches is
+    # in W_src, so only its membership in W_dst is tested
     calls = count_generator_shifts(monkeypatch)
+    tests = [0]
+
+    def counted_in_window(*args, _honest=shifts.in_window):
+        tests[0] += 1
+        return _honest(*args)
+
+    monkeypatch.setattr(shifts, "in_window", counted_in_window)
     imaged = []
     for name in ("shift_down_generator", "shift_up_generator"):
 
@@ -408,7 +416,22 @@ def test_general_shift_sweeps_build_no_overlap_image(monkeypatch):
         for g in enumerate_window(ctx, from_k):
             general_shift(ctx, from_k, to_k, g)
     assert calls == {"down": 758, "up": 758}
+    assert tests[0] == 5872
     assert [g for g in imaged if in_window(g, 0, ctx) and in_window(g, 1, ctx)] == []
+
+
+def test_general_shift_refuses_a_skeleton_level_past_the_limit(monkeypatch):
+    # like terms are never collapsed, so a level grows geometrically with the
+    # steps; the largest skeleton the suites build has 625 terms
+    ctx = Context(8, 4)
+    assert max(len(general_shift(ctx, 2, -2, g).terms) for g in enumerate_window(ctx, 2)) == 625
+    assert shifts.SKELETON_LIMIT >= 160 * 625
+    g = enumerate_window(ctx, 2)[-1]
+    monkeypatch.setattr(shifts, "SKELETON_LIMIT", 624)
+    with pytest.raises(ShapeError, match="over SKELETON_LIMIT=624 terms"):
+        general_shift(ctx, 2, -2, g)
+    monkeypatch.setattr(shifts, "SKELETON_LIMIT", 625)
+    assert len(general_shift(ctx, 2, -2, g).terms) == 625
 
 
 @pytest.mark.parametrize("from_k, to_k", [(2, -2), (-2, 2)])

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schurwin.bott as bott
 import schurwin.symfunc as symfunc
 from schurwin.partitions import Partition, ShapeError, box_partitions, dual_weight
 from schurwin.symfunc import (
@@ -259,8 +260,6 @@ def test_tensor_gl_refuses_non_int_entries(x):
     for u, v in (((x, 0), (0, 0)), ((0, 0), (x, 0)), ((x, 0), (3, 0)), ((5, 0), (x, -1))):
         with pytest.raises(TypeError):
             tensor_gl(2, u, v)
-        with pytest.raises(TypeError):
-            tensor_gl(2, u, v, memo={})
 
 
 def test_tensor_gl_rank_zero():
@@ -556,6 +555,25 @@ def test_expansion_rejects_short_key_with_negative_last_entry():
     assert SchurExpansion({(1, 0, -1): 1}, rank=3).terms == {(1, 0, -1): 1}
 
 
+def test_lr_multiply_by_a_column_is_the_pieri_rule():
+    # the strip DP, with no column branch of its own, against `_add_column`:
+    # either argument order, every rank, with and without a shared steps table
+    shared, seen = {}, set()
+    for a in box_partitions(4, 4):
+        for k in range(6):
+            col = (1,) * k
+            for rank in (None, 0, 1, 2, 3, 4, 5):
+                fits = rank is None or len(a) <= rank
+                expected = symfunc._add_column(a.parts, k, rank) if fits else {}
+                for x, y in ((a, col), (col, a)):
+                    for steps in (None, shared):
+                        assert lr_multiply(x, y, rank, steps).terms == expected, (x, y, rank)
+                seen.add((rank is None, fits, bool(expected)))
+    assert seen == {(True, True, True), (False, True, True), (False, True, False),
+                    (False, False, False)}
+    assert shared
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_column_products_match_evaluation(n):
     # s_a * e_k at rank n, by the Pieri path, against values at rational points
@@ -577,6 +595,9 @@ def test_column_products_match_evaluation(n):
 
 
 def test_tensor_gl_memo_and_translation_independent():
+    # tensor_gl is translation independent, and bott's class memo keys a pair by
+    # its translation class: the swapped pair and shifts of either weight hit
+    # one entry, whose terms less the offsets are tensor_gl's
     rng = random.Random(17)
     memo = {}
     for _ in range(300):
@@ -586,18 +607,35 @@ def test_tensor_gl_memo_and_translation_independent():
         if rng.random() < 0.3:  # last entries positive: the old translation was 0
             u = tuple(x + 6 for x in u)
         plain = tensor_gl(r, u, v)
-        assert tensor_gl(r, u, v, memo=memo) == plain
+        terms = bott._lr_class(r, *_class_of(u, v), memo)[0]
+        assert _untranslated(terms, r, -u[-1] - v[-1]) == plain.terms
         size = len(memo)
-        # the swapped pair and a shift of both weights hit the same entry
-        assert tensor_gl(r, v, u, memo=memo) == plain
-        assert tensor_gl(r, tuple(x - 2 for x in u), v, memo=memo) == plain.multiply(
-            SchurExpansion({(-2,) * r: 1}, rank=r)
-        )
         c = rng.randint(1, 3)
         shifted = _det_shifted(plain, r, c)
-        assert tensor_gl(r, u, tuple(x + c for x in v), memo=memo) == shifted
+        assert tensor_gl(r, v, u) == plain
+        assert tensor_gl(r, tuple(x - 2 for x in u), v) == plain.multiply(
+            SchurExpansion({(-2,) * r: 1}, rank=r)
+        )
         assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
+        for a, b in ((v, u), (tuple(x - 2 for x in u), v), (u, tuple(x + c for x in v))):
+            assert bott._lr_class(r, *_class_of(a, b), memo)[0] is terms
         assert len(memo) == size
+
+
+def _class_of(u, v):
+    """The two weights translated to end in 0, as `bott._lr_class` takes them."""
+    return tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v)
+
+
+def _untranslated(terms, r, total):
+    """LR terms at r rows, each padded to length r less `total`, trailing zeros stripped."""
+    out = {}
+    for key, c in terms.items():
+        w = tuple(x - total for x in key + (0,) * (r - len(key)))
+        while w and w[-1] == 0:
+            w = w[:-1]
+        out[w] = c
+    return out
 
 
 def _tensor_gl_by_translation(r, u, v):
@@ -605,13 +643,7 @@ def _tensor_gl_by_translation(r, u, v):
     at rank r, and translate every term back (the path with no column rule)."""
     nu, nv = (-u[-1], -v[-1]) if r else (0, 0)
     prod_ = lr_multiply(tuple(x + nu for x in u), tuple(x + nv for x in v), rank=r)
-    out = {}
-    for key, c in prod_.terms.items():
-        w = tuple(x - nu - nv for x in key + (0,) * (r - len(key)))
-        while w and w[-1] == 0:
-            w = w[:-1]
-        out[w] = c
-    return out
+    return _untranslated(prod_.terms, r, nu + nv)
 
 
 def _gl_weight(rng, r, low=-4, high=4):
@@ -635,10 +667,9 @@ def test_tensor_gl_column_rule_matches_translation_and_evaluation():
         col = _random_column(rng, r, k)
         other = _random_column(rng, r) if kind == "both" else _gl_weight(rng, r)
         u, v = (col, other) if kind in ("left", "both") else (other, col)
-        if kind == "neither":  # the LR class path, or a column by chance
+        if kind == "neither":  # the LR path, or a column by chance
             u, v = _gl_weight(rng, r, -2, 1), _gl_weight(rng, r, -1, 2)
-        memo = {} if n % 2 else None
-        got = tensor_gl(r, u, v, memo=memo)
+        got = tensor_gl(r, u, v)
         assert got.terms == _tensor_gl_by_translation(r, u, v), (r, u, v)
         assert got.rank == r
         seen.add((r, kind, k == 0 or k == r, min(u + v, default=0) < 0))

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from schurwin import shifts, symfunc, verify
+from schurwin import bott, shifts, symfunc, verify
 from schurwin.partitions import Context, Partition, ShapeError
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
@@ -638,13 +638,13 @@ def test_localization_passes_d6_r3(seed):
 def test_tilting_makes_one_lr_product_per_translation_class(monkeypatch, d, r, calls):
     # m = C(d-1, r-1) translated weights give C(m+1, 2) unordered pairs
     count = [0]
-    honest = symfunc.lr_multiply
+    honest = bott.lr_multiply
 
     def counted(*args, **kwargs):
         count[0] += 1
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(symfunc, "lr_multiply", counted)
+    monkeypatch.setattr(bott, "lr_multiply", counted)
     assert verify_tilting(Context(d, r)).passed
     assert count[0] == calls
 
