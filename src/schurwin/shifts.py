@@ -229,7 +229,7 @@ class KMatrix(NamedTuple):
         )
 
     def determinant(self) -> int:
-        return unit_step_determinant(self.entries)
+        return int_determinant(self.entries)
 
     def is_identity(self) -> bool:
         e = self.entries
@@ -254,38 +254,37 @@ def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _square(rows):
-    """The rows themselves, once checked to form a square matrix."""
-    if any(len(row) != len(rows) for row in rows):
-        raise ShapeError(f"not a square matrix: rows of lengths {[len(row) for row in rows]}")
-    return rows
-
-
 def int_determinant(rows) -> int:
-    """Exact Bareiss determinant of a square int matrix, else ShapeError; a float: TypeError."""
-    return _bareiss(_square([list(map(int, map(operator.index, row))) for row in rows]))
-
-
-def unit_step_determinant(rows) -> int:
-    """Exact determinant of a square integer matrix, cheap for a unit step.
-
-    The rows R whose only nonzero entry is a 1, each in a column of C that no
-    earlier such row takes, are set aside: a unit step's overlap rows are of
-    this kind. Laplace expansion along R leaves (-1)^(sum R + sum C) *
-    sign(R -> C) times the determinant of the block off R and C.
-    """
-    taken: dict[int, int] = {}  # column -> row, in row order
-    for i, row in enumerate(_square(rows)):
-        nonzero = [j for j, x in enumerate(row) if x]
-        if len(nonzero) == 1 and row[nonzero[0]] == 1:
-            taken.setdefault(nonzero[0], i)
-    cols = list(taken)
-    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-    sign = (-1) ** (sum(taken.values()) + sum(cols) + inversions)
-    keep = [j for j in range(len(rows)) if j not in taken]
-    skip = set(taken.values())
-    block = [[row[j] for j in keep] for i, row in enumerate(rows) if i not in skip]
-    return sign * int_determinant(block)
+    """Exact determinant of a square int matrix, else ShapeError; a float: TypeError. While some
+    row i has one nonzero left, Laplace expansion along it peels it at column p(i); p sends the
+    rest, empty rows too, in order to the free columns. det = sign(p) * peeled * Bareiss(rest)."""
+    a = [list(map(operator.index, row)) for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeError(f"not a square matrix: rows of lengths {[len(row) for row in a]}")
+    live = [{j for j, x in enumerate(row) if x} for row in a]  # nonzero columns not peeled
+    rows_at: list[list[int]] = [[] for _ in a]  # column -> the rows with a nonzero there
+    for i, cols in enumerate(live):
+        for j in cols:
+            rows_at[j].append(i)
+    p, det, ready = {}, 1, [i for i, cols in enumerate(live) if len(cols) < 2]
+    while ready:
+        i = ready.pop()
+        if live[i]:  # else row i is zero off the peeled columns: Bareiss(rest) is 0
+            p[i] = j = live[i].pop()
+            det *= a[i][j]
+            for h in rows_at[j]:
+                live[h].discard(j)
+                if len(live[h]) == 1:
+                    ready.append(h)
+    free_rows = [i for i in range(n) if i not in p]
+    free_cols = sorted(set(range(n)).difference(p.values()))
+    block = [[a[i][j] for j in free_cols] for i in free_rows]
+    p.update(zip(free_rows, free_cols))
+    for i in range(n):  # sort p by swaps, each flipping the sign
+        while (j := p[i]) != i:
+            p[i], p[j], det = p[j], j, -det
+    return det * _bareiss(block)
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:

@@ -89,7 +89,7 @@ def _bases(ctx: Context, delta):
 
 SAMPLE_LIMIT = 6087  # how many distinct fractions n/m have 1 <= n, m <= 100
 WORK_LIMIT = 10**8  # most terms one localization check may evaluate
-SWEEP_LIMIT = 3 * 10**5  # most (gamma, delta) pairs, or staircase bases, one sweep may list
+SWEEP_LIMIT = 3 * 10**5  # most (gamma, delta) pairs, bases or Euler bases times d a sweep may list
 
 
 def _refuse_past_sweep_limit(what: str, n: int) -> None:
@@ -294,11 +294,13 @@ def _euler_failures(ctx: Context, bases):
 def verify_euler(ctx: Context, delta=None) -> VerificationReport:
     """Balance equivariant Euler characteristics across each staircase.
 
-    Exactness forces the alternating sum of the GL(d) characters of the
-    cohomology, weighted by the wedge multiplicity characters, to vanish;
-    equality is decided structurally in the Schur basis.
+    Exactness forces the alternating sum of the cohomology's GL(d) characters, weighted by the
+    wedge multiplicity characters, to vanish, decided structurally in the Schur basis. With no
+    `delta` it refuses C(d, r - 1) * d past SWEEP_LIMIT, before listing any base.
     """
     t0 = time.perf_counter()
+    if delta is None:
+        _refuse_past_sweep_limit("bases times d", ctx.r and comb(ctx.d, ctx.r - 1) * ctx.d)
     bases, deltas = _bases(ctx, delta)
     return _report(
         "euler",
@@ -372,8 +374,7 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     and det-conjugation. Stops at the first failure.
 
     Each unit step U is built once per direction and M_kl is their left fold.
-    det M_kl is the product of the det U on its way, each taken exactly from
-    U's block off its standard unit (overlap) rows: no dense determinant.
+    det M_kl is the product of the exact det U on its way: each U peels to nothing.
     The unit K-matrices share one memo of untwisted unit-step images; every
     level reads the same untwisted image, so det-conjugation keeps its
     strength: it tests each level's `_unit_step` and untwisted indexing.

@@ -187,6 +187,14 @@ def test_cohomology_table_json():
     assert t.is_zero()
 
 
+def test_cohomology_table_skips_zero_multiplicity_and_reprs():
+    t = CohomologyTable()
+    t.add(0, (1, 0), 0)
+    assert t.is_zero() and t.groups == {}
+    t.add(2, (1, 0))
+    assert repr(t) == "CohomologyTable({2: {(1, 0): 1}})"
+
+
 def test_hom_bundle_shared_memo_matches_fresh_calls():
     ctx = Context(6, 3)
     shapes = box_partitions(ctx.r, ctx.d - ctx.r)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -11,6 +12,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_verify_text_timings_adds_a_time_line(capsys):
+    argv = ("verify", "euler", "--d", "3", "--r", "1")
+    code, plain, _ = run(capsys, *argv)
+    timed_code, timed, _ = run(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    last = timed.splitlines()[-1]
+    assert re.fullmatch(r"time: \d+\.\d{3}s", last)
+    assert timed == plain + last + "\n"
 
 
 def test_staircase_text(capsys):
@@ -157,9 +168,12 @@ def test_tilting_and_euler_past_the_sweep_limit_exit_2(capsys):
 
     from schurwin.verify import SWEEP_LIMIT
 
-    # (11,5) tilting still runs; (12,6) lists 853,776 pairs
+    # (11,5) tilting still runs; (12,6) lists 853,776 pairs. Euler counts bases
+    # times d: (16,8) still runs, (17,8) has 19,448 bases times 17 = 330,616
     assert comb(11, 5) ** 2 <= SWEEP_LIMIT < comb(12, 6) ** 2
-    for argv in (("tilting", "--d", "12", "--r", "6"), ("euler", "--d", "40", "--r", "20")):
+    assert comb(16, 7) * 16 <= SWEEP_LIMIT < comb(17, 7) * 17 and comb(17, 7) <= SWEEP_LIMIT
+    for argv in (("tilting", "--d", "12", "--r", "6"), ("euler", "--d", "40", "--r", "20"),
+                 ("euler", "--d", "17", "--r", "8")):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "verify", *argv)
         assert time.perf_counter() - t0 < 1.0

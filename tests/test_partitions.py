@@ -140,6 +140,24 @@ def test_box_partitions_tall_box():
     assert len(box_partitions(1000, 1)) == 1001
 
 
+def test_partition_index_pad_and_box_errors():
+    p = Partition((3, 1))
+    with pytest.raises(ShapeError, match="row index is 1-based"):
+        p.row(0)
+    with pytest.raises(ShapeError, match="column index is 1-based"):
+        p.col(0)
+    with pytest.raises(ShapeError, match=r"\[3, 1\] has more than 1 parts"):
+        p.pad(1)
+    with pytest.raises(AttributeError, match="cannot delete field 'parts'"):
+        del p.parts
+    assert p.parts == (3, 1)
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ShapeError, match="box dimensions must be non-negative"):
+            p.fits_box(rows, cols)
+        with pytest.raises(ShapeError, match="box dimensions must be non-negative"):
+            box_partitions(rows, cols)
+
+
 def test_context_validation():
     Context(4, 0)
     Context(4, 4)

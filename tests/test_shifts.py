@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from schurwin import shifts
-from schurwin.partitions import Context, GeneratorLabel, Partition, ShapeError, canonicalize
+from schurwin.partitions import (
+    Context, GeneratorLabel, Partition, ShapeError, _bareiss, canonicalize
+)
 from schurwin.shifts import (
     KMatrix,
     Term,
@@ -20,7 +22,6 @@ from schurwin.shifts import (
     k_matrix,
     shift_down_generator,
     shift_up_generator,
-    unit_step_determinant,
 )
 from schurwin.verify import verify_relations
 from schurwin.windows import enumerate_window, in_window
@@ -78,6 +79,29 @@ def test_shift_down_rejects_outsiders():
     ctx = Context(4, 2)
     with pytest.raises(ShapeError):
         shift_down_generator(ctx, canonicalize((4, 1)))
+
+
+def test_shift_up_rejects_outsiders():
+    ctx = Context(4, 2)
+    g = canonicalize((3, 3))
+    assert in_window(g, 1, ctx) and not in_window(g, 0, ctx)
+    with pytest.raises(ShapeError, match="not in W_0"):
+        shift_up_generator(ctx, g)
+
+
+def test_unit_step_needs_adjacent_windows():
+    ctx = Context(4, 2)
+    for from_k, to_k in ((0, 2), (1, 1), (2, 0)):
+        with pytest.raises(ShapeError, match="adjacent windows"):
+            _unit_step(ctx, canonicalize((1, 0)), from_k, to_k)
+
+
+def test_k_matrices_of_mismatched_windows_do_not_compose():
+    ctx = Context(4, 2)
+    down = k_matrix(ctx, 1, 0)
+    for other in (down, k_matrix(Context(5, 2), 0, 1)):
+        with pytest.raises(ShapeError, match="do not compose"):
+            down @ other
 
 
 def test_shift_up_examples():
@@ -185,7 +209,8 @@ def test_unit_step_determinant_matches_dense_elimination():
             for k in range(-2, 2):
                 for a, b in ((k, k + 1), (k + 1, k)):
                     rows = k_matrix(ctx, a, b).entries
-                    assert unit_step_determinant(rows) == int_determinant(rows), (d, r, a, b)
+                    dense = _bareiss([list(row) for row in rows])
+                    assert int_determinant(rows) == dense, (d, r, a, b)
                     steps += 1
     assert steps == 280
 
@@ -201,14 +226,14 @@ def test_unit_step_determinant_matches_dense_elimination():
         (((0, 1, 0), (1, 0, 0), (0, 0, 1)), -1),
         # permuted unit rows around a dense block
         (((0, 0, 0, 1), (2, 3, 1, 5), (0, 1, 0, 0), (1, 4, 2, 6)), -3),
-        # two rows equal to the same e_c: only the first is set aside
+        # two rows equal to the same e_c: peeling one empties the other
         (((1, 0, 0), (1, 0, 0), (2, 3, 4)), 0),
         (((0, 1, 0), (5, 7, 1), (0, 1, 0)), 0),
-        # a -1 unit row stays in the block
+        # a -1 unit row peels like a 1
         (((-1, 0), (0, 1)), -1),
         (((0, -1), (1, 0)), 1),
         (((3, 1, 0), (0, 0, -1), (0, 2, 0)), 6),
-        # a row with a 1 and another nonzero is not a unit row
+        # a row with two nonzeros peels once one column goes, else Bareiss takes it
         (((1, 1), (0, 1)), 1),
         (((1, 2), (3, 1)), -5),
         (((2, 1, 1), (0, 1, 0), (1, 0, 1)), 1),
@@ -216,7 +241,7 @@ def test_unit_step_determinant_matches_dense_elimination():
 )
 def test_unit_step_determinant_hand_made(rows, det):
     assert leibniz_determinant(rows) == det
-    assert unit_step_determinant(rows) == det
+    assert int_determinant(rows) == det
 
 
 def test_k_matrix_determinant_matches_dense_elimination():
@@ -225,7 +250,7 @@ def test_k_matrix_determinant_matches_dense_elimination():
         ctx = Context(d, r)
         for k, l in [(0, 0), (1, 0), (2, -2), (-1, 2)]:
             m = k_matrix(ctx, k, l)
-            assert m.determinant() == int_determinant(m.entries), (d, r, k, l)
+            assert m.determinant() == _bareiss([list(row) for row in m.entries]), (d, r, k, l)
 
 
 def test_unit_step_determinant_with_planted_unit_rows():
@@ -237,7 +262,41 @@ def test_unit_step_determinant_with_planted_unit_rows():
         for i in rng.sample(range(n), rng.randint(0, n)):
             rows[i] = [0] * n
             rows[i][rng.randrange(n)] = rng.choice((1, 1, 1, -1, 2))
-        assert unit_step_determinant(rows) == leibniz_determinant(rows), rows
+        assert int_determinant(rows) == leibniz_determinant(rows), rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a bidiagonal chain: one row peels per round, bottom up
+        [[2, 3, 0, 0], [0, -1, 5, 0], [0, 0, 4, 1], [0, 0, 0, 3]],
+        # a row emptied by an earlier peel: its two columns go
+        [[1, 0, 0], [1, 2, 0], [0, 5, 0]],
+        [[0, 0, 1], [4, 0, 0], [7, 0, 3]],
+        # peeled entries other than +-1, in a permuted order
+        [[0, 0, -2], [1, 4, 0], [5, 0, 7]],
+        [[3, 0], [1, 2]],
+        # a dense block left after peeling
+        [[2, 3, 1, 5], [0, 0, 0, -3], [1, 4, 2, 6], [7, 1, 1, 1]],
+        [[0, 2, 0, 0, 0], [1, 1, 2, 3, 1], [2, 0, 1, 1, 3], [0, 0, 0, 0, -1], [3, 1, 1, 2, 2]],
+    ],
+)
+def test_int_determinant_peels_against_leibniz(rows):
+    assert int_determinant(rows) == leibniz_determinant(rows)
+
+
+def test_int_determinant_peels_a_long_chain():
+    # a permuted bidiagonal chain of n = 60 peels one row per round: a loop,
+    # not a recursion, and an empty block for Bareiss
+    rng = random.Random(7)
+    n = 60
+    diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+    chain = [[diag[i] if j == i else rng.randint(1, 4) if j == i + 1 else 0 for j in range(n)]
+             for i in range(n)]
+    rows_order, cols_order = rng.sample(range(n), n), rng.sample(range(n), n)
+    rows = [[chain[i][j] for j in cols_order] for i in rows_order]
+    assert int_determinant(rows) == _bareiss([list(row) for row in rows]) != 0
+    assert abs(int_determinant(rows)) == abs(prod(diag))
 
 
 @pytest.mark.parametrize(
@@ -251,9 +310,8 @@ def test_unit_step_determinant_with_planted_unit_rows():
     ],
 )
 def test_determinants_reject_ragged_or_non_square(rows):
-    for determinant in (int_determinant, unit_step_determinant):
-        with pytest.raises(ShapeError, match="not a square matrix"):
-            determinant(rows)
+    with pytest.raises(ShapeError, match="not a square matrix"):
+        int_determinant(rows)
 
 
 @pytest.mark.parametrize("x", [2.9, 2.0, Fraction(5, 2), Fraction(4, 2)])

@@ -85,6 +85,13 @@ def test_base_from_top_errors():
         base_from_top(ctx, Partition((3,)))
 
 
+def test_rank_zero_has_no_tops_and_no_window_bases():
+    ctx = Context(4, 0)
+    assert window_bases(ctx) == []
+    with pytest.raises(ShapeError, match="no staircase tops exist for r = 0"):
+        base_from_top(ctx, Partition(()))
+
+
 def test_round_trip_window_bases():
     for d in range(1, 8):
         for r in range(1, min(3, d) + 1):

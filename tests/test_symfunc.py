@@ -183,6 +183,23 @@ def test_evaluate_known_values():
     assert schur_at((2,), (1, 1)) == 3  # h_2 at a repeated point, 3 monomials
 
 
+def test_evaluate_refuses_a_point_of_the_wrong_length():
+    e = SchurExpansion({(1, 1): 1}, rank=2)
+    for point in ((2,), (2, 3, 5)):
+        with pytest.raises(ShapeError, match="expansion rank 2"):
+            evaluate(e, point)
+
+
+def test_schur_expansion_rank_mismatch_and_repr():
+    a = SchurExpansion({(2, 1): 3, (1,): -1}, rank=2)
+    for b in (SchurExpansion({(1,): 1}, rank=3), SchurExpansion({(1,): 1})):
+        with pytest.raises(ShapeError, match="rank mismatch in sum"):
+            a + b
+        with pytest.raises(ShapeError, match="rank mismatch in product"):
+            a.multiply(b)
+    assert repr(a) == "SchurExpansion({(1,): -1, (2, 1): 3}, rank=2)"
+
+
 def all_partitions_up_to(max_boxes):
     out = [()]
 

@@ -9,7 +9,7 @@ from math import lcm
 import pytest
 
 from schurwin import bott, shifts, symfunc, verify
-from schurwin.partitions import Context, Partition, ShapeError
+from schurwin.partitions import Context, Partition, ShapeError, _bareiss
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
@@ -351,7 +351,7 @@ def _reference_relations(ctx, k_range):
     taken densely and every product multiplied out."""
     ks = sorted(k_range)
     mats = {(k, l): shifts.k_matrix(ctx, k, l) for k in ks for l in ks}
-    dets = {kl: shifts.int_determinant(m.entries) for kl, m in mats.items()}
+    dets = {kl: _bareiss([list(row) for row in m.entries]) for kl, m in mats.items()}
     return next(_frozen_relation_failures(mats, dets, ks), None)
 
 
@@ -376,6 +376,23 @@ def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d
             assert (expected or {}).get("relation") == first_failure
 
 
+def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
+    # M_kk built wrong: -1 in its first entry keeps it unimodular, so only
+    # the identity relation can fail first
+    honest = verify.k_matrix
+
+    def k_matrix(ctx, k, l, memo=None):
+        m = honest(ctx, k, l, memo)
+        if k != l:
+            return m
+        return m._replace(entries=((-1, *m.entries[0][1:]), *m.entries[1:]))
+
+    monkeypatch.setattr(verify, "k_matrix", k_matrix)
+    rep = verify_relations(Context(4, 2), [1, 3])
+    assert not rep.passed
+    assert rep.counterexample == {"relation": "identity", "k": 1}
+
+
 @pytest.mark.parametrize(
     "k_range, products", [(range(-2, 3), 32), ([0, 2], 4), ([-3, 0, 3], 20)]
 )
@@ -394,7 +411,7 @@ def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products)
     assert count[0] == products
 
 
-@pytest.mark.parametrize("d, r", [(7, 3), (8, 4), (10, 4)])
+@pytest.mark.parametrize("d, r", [(7, 3), (8, 4), (10, 4), (10, 5), (11, 5)])
 def test_relations_pass_larger(d, r):
     assert verify_relations(Context(d, r)).passed
 
