@@ -3,8 +3,8 @@ one home of three exact rules other modules share: `_dotted_weyl`, Bott's
 dotted Weyl action, which also straightens Schur weights; `_translated`, the
 translation `canonicalize` names generators by; `_bareiss`, the integer determinant.
 
-`Partition(...)`, `check_weight` and `canonicalize` validate their input;
-`Partition._trusted` and `_label` trust it, so they take only the library's own tuples.
+`Partition(...)`, `check_weight` and `canonicalize` validate their input; `Partition._trusted`,
+`_label` and `_canonical` trust it, so they take only the library's own tuples.
 
 Values here are immutable and usable as dict keys; every operation is a pure
 function, so everything is safe to share across threads.
@@ -254,12 +254,18 @@ def canonicalize(w, det_power: int = 0) -> GeneratorLabel:
     return GeneratorLabel(Partition(w), det_power - n)
 
 
+def _canonical(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
+    """The raw `_label` of trusted parts: (q, c), q + c = parts padded to r, q's r-th entry 0."""
+    if len(parts) < r or not parts:
+        return parts, 0
+    last = parts[-1]
+    return _strip(tuple([x - last for x in parts])), last
+
+
 def _label(p: Partition, r: int, m: int) -> GeneratorLabel:
     """`canonicalize(p.pad(r), m)`, unchecked, for a trusted p with at most r parts."""
-    if len(p.parts) < r or not p.parts:
-        return GeneratorLabel(p, m)
-    last = p.parts[-1]
-    return GeneratorLabel(Partition._trusted(_strip(tuple(x - last for x in p.parts))), m + last)
+    q, c = _canonical(p.parts, r)
+    return GeneratorLabel(Partition._trusted(q) if c else p, m + c)
 
 
 def box_partitions(rows: int, cols: int) -> list[Partition]:

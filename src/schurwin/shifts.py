@@ -11,10 +11,11 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
-A call of `general_shift` or `k_matrix` builds each untwisted unit-step image
-once and reads it untwisted at every level; `general_shift` builds none for a
-label in both windows. K-matrix products skip zeros: a unit step has few nonzeros per row.
-An image checks only the caller's generator; its staircase rows and labels are trusted.
+`_image_rows` reads each untwisted unit-step image from staircase rows as raw rows, which
+`shift_*_generator` wrap in the honest complexes `k_matrix` shares in one memo. `general_shift`
+keys its nodes on raw (parts, det) tuples, reads each image once per call (none for a label in
+both windows) and labels only its result. K-matrix products skip zeros. An image checks only
+the caller's generator; its staircase rows and labels are trusted.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import operator
 from math import comb
 from typing import NamedTuple
 
-from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, _label
+from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, _canonical, _strip
 from .staircase import base_from_top, staircase_diagrams
-from .windows import enumerate_window, in_window
+from .windows import _in_box, enumerate_window, in_window
 
 SKELETON_LIMIT = 10**5  # most terms one level of a `general_shift` skeleton may hold
 
@@ -70,48 +71,42 @@ class TermComplex(_TermComplexFields):
 
 
 def shift_down_generator(ctx: Context, g: GeneratorLabel) -> TermComplex:
-    """Express a W_+1 generator in W_0 terms (the one-step downward shift).
+    """Express a W_+1 generator in W_0 terms (the one-step downward shift)."""
+    return _image(ctx, g, True, False)
 
-    Generators in the overlap map to themselves. An out-of-window generator
-    is replaced by the truncated staircase sequence over the base recovered
-    from its weight, left-most term in degree 0; the dropped top term's
-    wedge^d V factor is where the trivialization det V ~ C happens.
-    """
-    if not in_window(g, 1, ctx):
-        raise ShapeError(f"generator not in W_+1: {g}")
-    if in_window(g, 0, ctx):
+
+def shift_up_generator(ctx: Context, g: GeneratorLabel, keep_det: bool = False) -> TermComplex:
+    """Express a W_0 generator in W_+1 terms (the one-step upward shift)."""
+    return _image(ctx, g, False, keep_det)
+
+
+def _image(ctx: Context, g: GeneratorLabel, down: bool, keep_det: bool) -> TermComplex:
+    """A generator of W_src in W_dst terms, (src, dst) = (1, 0) down or (0, 1) up: itself
+    in the overlap, else its `_image_rows` as an honest complex, its weight checked."""
+    src, dst = (1, 0) if down else (0, 1)
+    if not in_window(g, src, ctx):
+        raise ShapeError(f"generator not in W_{'+1' if down else '0'}: {g}")
+    if in_window(g, dst, ctx):
         return TermComplex((Term(0, g),), honest=True)
-    base = base_from_top(ctx, Partition(g.weight(ctx.r)))
-    data = staircase_diagrams(ctx, base)
-    terms = []
-    for idx, st in enumerate(reversed(data.steps[:-1])):
-        terms.append(Term(idx, _label(st.delta, ctx.r, 0), st.s))
-    terms.append(Term(len(data.steps) - 1, _label(base, ctx.r, 0), 0))
+    rows = _image_rows(ctx, Partition(g.weight(ctx.r)).parts, 0, down, keep_det)
+    terms = (Term(i, GeneratorLabel(Partition._trusted(q), c), ext) for i, q, c, ext in rows)
     return TermComplex(tuple(terms), honest=True)
 
 
-def shift_up_generator(
-    ctx: Context, g: GeneratorLabel, keep_det: bool = False
-) -> TermComplex:
-    """Express a W_0 generator in W_+1 terms (the one-step upward shift).
-
-    Out-of-overlap generators have a box-partition weight ending in zero,
-    which is exactly a staircase base; the full staircase above it is the
-    answer, right-most term in degree 0, degrees decreasing to -(K-1). The
-    top term's wedge^d V factor is trivialized away unless keep_det is set.
-    """
-    if not in_window(g, 0, ctx):
-        raise ShapeError(f"generator not in W_0: {g}")
-    if in_window(g, 1, ctx):
-        return TermComplex((Term(0, g),), honest=True)
-    base = Partition(g.weight(ctx.r))
-    data = staircase_diagrams(ctx, base)
-    span = len(data.steps) - 1
-    terms = []
-    for idx, st in enumerate(reversed(data.steps)):
-        ext = 0 if st.s == ctx.d and not keep_det else st.s
-        terms.append(Term(-span + idx, _label(st.delta, ctx.r, 0), ext))
-    return TermComplex(tuple(terms), honest=True)
+def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_det: bool):
+    """Rows (degree, canonical parts, det power, ext) of the image of the trusted label (parts, m)
+    in W_src less W_dst. Down: its weight is a top; the staircase below it, left-most term in
+    degree 0. Up: its weight is a base; the full staircase over it, right-most term in degree 0,
+    the top's wedge^d V trivialized away (det V ~ C) unless keep_det is set."""
+    w = Partition._trusted(_strip(tuple(x + m for x in parts) + (m,) * (ctx.r - len(parts))))
+    if down:
+        base = base_from_top(ctx, w)
+        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, base).steps[:-1])]
+        rows.append((base.parts, 0))
+    else:
+        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, w).steps)]
+    return [(i, *_canonical(delta, ctx.r), 0 if s == ctx.d and not keep_det else s)
+            for i, (delta, s) in enumerate(rows, 0 if down else 1 - len(rows))]
 
 
 def _unit_step(
@@ -125,8 +120,7 @@ def _unit_step(
         raise ShapeError("unit step requires adjacent windows")
     down, twist = to_k < from_k, min(from_k, to_k)
     if ctx.r == 0:
-        # rank zero: every window is generated by the trivial bundle; the
-        # shift is the identity, relabelled with the target window's marker less t
+        # rank zero: the trivial bundle, relabelled with the target window's marker less t
         return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k - twist)),))
     g0 = GeneratorLabel(g.delta, g.det_power - twist)
     key, memo = (g0, down, keep_det), {} if memo is None else memo
@@ -140,38 +134,39 @@ def general_shift(
 ) -> TermComplex:
     """Iterate unit steps from W_from to W_to by termwise substitution.
 
-    Degrees add; like terms are never collapsed. The result is an honest
-    complex only for |from - to| <= 1, otherwise a skeleton whose contract is
-    its graded terms and K-class. A level past SKELETON_LIMIT terms raises ShapeError.
-    The step k -> k +- 1 is the untwisted step src -> dst twisted by det^(k - src),
-    (src, dst) = (1, 0) or (0, 1). A term is a plain tuple whose label is a node: one
-    per distinct label, det power less that twist, holding its image, built once per
-    call (at r > 0 none for a label in W_src and W_dst: it is its own), and its label in W_to.
+    Degrees add; like terms are never collapsed. The result is an honest complex only for
+    |from - to| <= 1, otherwise a skeleton whose contract is its graded terms and K-class.
+    A level past SKELETON_LIMIT terms raises ShapeError. The step k -> k +- 1 is the untwisted
+    step src -> dst, (src, dst) = (1, 0) or (0, 1), twisted by det^(k - src). A term is
+    (degree, node, ext, copies), a node one per distinct raw (parts, det) label less that
+    twist. A node (all lie in W_src) in W_dst is its own image; any other reads its
+    `_image_rows` once per call. Only the result's nodes get a `GeneratorLabel`, one each.
     """
     if not in_window(g, from_k, ctx):
         raise ShapeError(f"generator not in W_{from_k}: {g}")
+    honest = abs(from_k - to_k) <= 1
+    if not ctx.r and from_k != to_k:
+        # rank zero: every window is generated by the trivial bundle, marked by W_to
+        return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k)),), honest)
     step = -1 if to_k < from_k else 1
     src, dst = (1, 0) if step < 0 else (0, 1)
-    nodes: dict = {}  # (delta, det) -> [untwisted label, its image or None, label in W_to]
+    nodes: dict = {}  # (parts, det) -> [(parts, det), its image or None, label in W_to or None]
 
-    def node(delta, m):
-        nd = nodes.get((delta, m))
-        if nd is None:
-            final = GeneratorLabel(delta, m + to_k - src)
-            nd = nodes[delta, m] = [GeneratorLabel(delta, m), None, final]
-        return nd
+    def node(parts, m):
+        key = (parts, m)
+        return nodes.get(key) or nodes.setdefault(key, [key, None, None])
 
-    terms = [(0, node(g.delta, g.det_power - from_k + src), 0, 1)]  # (degree, node, ext, copies)
+    terms = [(0, node(g.delta.parts, g.det_power - from_k + src), 0, 1)]
     for _ in range(from_k, to_k, step):
         new_terms = []
         for degree, nd, ext_t, copies_t in terms:
             if nd[1] is None:  # an image's nodes are relative to the next step's twist
-                g0 = nd[0]  # in W_src by construction
-                if ctx.r and in_window(g0, dst, ctx):
-                    nd[1] = [(0, node(g0.delta, g0.det_power - step), 0, 1)]
+                parts, m = nd[0]
+                if _in_box(parts, m, dst, ctx):
+                    nd[1] = [(0, node(parts, m - step), 0, 1)]
                 else:
-                    nd[1] = [(u.degree, node(u.label.delta, u.label.det_power - step), *u[2:])
-                             for u in _unit_step(ctx, g0, src, dst, keep_det).terms]
+                    nd[1] = [(i, node(q, c - step), ext, 1)
+                             for i, q, c, ext in _image_rows(ctx, parts, m, step < 0, keep_det)]
             for u_degree, u_node, ext, copies in nd[1]:
                 copies *= copies_t
                 if ext == 0:
@@ -186,8 +181,10 @@ def general_shift(
                                  f"over SKELETON_LIMIT={SKELETON_LIMIT:,} terms")
         terms = new_terms
     terms.sort(key=operator.itemgetter(0))
+    for parts, m in {nd[0] for _, nd, _, _ in terms}:
+        nodes[parts, m][2] = GeneratorLabel(Partition._trusted(parts), m + to_k - src)
     terms = [Term(deg, nd[2], ext, copies) for deg, nd, ext, copies in terms]
-    return TermComplex(tuple(terms), honest=abs(from_k - to_k) <= 1)
+    return TermComplex(tuple(terms), honest)
 
 
 def k_class(ctx: Context, tc: TermComplex, basis: list[GeneratorLabel], index=None):
@@ -224,16 +221,20 @@ class KMatrix(NamedTuple):
     def __matmul__(self, other: "KMatrix") -> "KMatrix":
         if self.ctx != other.ctx or self.to_k != other.from_k:
             raise ShapeError("K-matrices do not compose")
-        return KMatrix(
-            self.ctx, self.from_k, other.to_k, _mat_mul(self.entries, other.entries)
-        )
+        return KMatrix(self.ctx, self.from_k, other.to_k, _mat_mul(self.entries, other.entries))
 
     def determinant(self) -> int:
         return int_determinant(self.entries)
 
     def is_identity(self) -> bool:
         e = self.entries
-        return all(tuple(r) == (0,) * i + (1,) + (0,) * (len(e) - 1 - i) for i, r in enumerate(e))
+        return all(tuple(row) == one for row, one in zip(e, _identity_rows(len(e))))
+
+
+def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity's rows, each a slice of one zero-row template with a 1 in its middle."""
+    template = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple(template[n - 1 - i:2 * n - 1 - i] for i in range(n))
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
@@ -293,12 +294,8 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     Each level indexes its target basis by untwisted label, so `k_class` reads
     the shared images as they are."""
     if from_k == to_k:
-        n = len(enumerate_window(ctx, from_k))
-        entries = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return KMatrix(ctx, from_k, to_k, entries)
-    step = -1 if to_k < from_k else 1
-    current = from_k
-    entries = None
+        return KMatrix(ctx, from_k, to_k, _identity_rows(len(enumerate_window(ctx, from_k))))
+    step, current, entries = -1 if to_k < from_k else 1, from_k, None
     b_from = enumerate_window(ctx, from_k)
     memo = {} if memo is None else memo
     while current != to_k:

@@ -58,11 +58,12 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
     delta = check_admissible_base(ctx, delta)
     r = ctx.r
     base, c = delta.pad(r - 1), len(delta)
+    pushed = tuple([x + 1 for x in base])
     steps = []
     for k in range(1, ctx.staircase_length + 1):
         while c and base[c - 1] < k:
             c -= 1  # c is col_k: the number of base rows of length >= k
-        rows = base[:c] + (k,) + tuple(x + 1 for x in base[c:])
+        rows = base[:c] + (k,) + pushed[c:]
         steps.append(StaircaseStep(Partition._trusted(rows), r + k - (c + 1)))
     return StaircaseData(ctx, delta, tuple(steps))
 

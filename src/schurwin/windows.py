@@ -28,7 +28,12 @@ def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
 
 def in_window(label: GeneratorLabel, k: int, ctx: Context) -> bool:
     """True iff the label's weight, untwisted by det^k, is a box partition."""
-    w = label.weight(ctx.r)
-    if ctx.r == 0:
-        return True
-    return w[-1] - k >= 0 and w[0] - k <= ctx.box_cols
+    parts = label.delta.pad(ctx.r)  # past r parts: ShapeError
+    return ctx.r == 0 or _in_box(parts, label.det_power, k, ctx)
+
+
+def _in_box(parts: tuple[int, ...], m: int, k: int, ctx: Context) -> bool:
+    """The window rule on a raw label (parts, m) of at most r parts, r > 0: its weight
+    parts + m, untwisted by det^k, lies in the r x (d-r) box."""
+    last = (parts[-1] if len(parts) == ctx.r else 0) + m
+    return last >= k and (parts[0] if parts else 0) + m - k <= ctx.box_cols

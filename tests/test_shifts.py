@@ -149,6 +149,15 @@ def test_k_matrix_known_d2_r1():
 def test_k_matrix_identity_case():
     ctx = Context(4, 2)
     assert k_matrix(ctx, 1, 1).is_identity()
+    # the rows are the unit vectors, whatever the window size
+    for d, r, k in [(1, 0, 3), (1, 1, 0), (4, 2, -1), (7, 3, 2)]:
+        mat = k_matrix(Context(d, r), k, k)
+        n = comb(d, r)
+        assert mat.entries == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert mat.is_identity()
+        rows = list(mat.entries)
+        rows[-1] = rows[-1][:-1] + (2,)
+        assert not mat._replace(entries=tuple(rows)).is_identity()
 
 
 def test_k_matrix_round_trips_exhaustive():
@@ -412,6 +421,63 @@ def test_general_shift_matches_unmemoized_substitution(d, r):
                 assert got.honest == ref.honest
 
 
+def node_shift(ctx, from_k, to_k, g, keep_det):
+    """`general_shift` as it was before its nodes were raw tuples: each level
+    holds terms whose labels are untwisted by the next step's twist; a label in
+    both windows of the step is its own image, any other takes the `_unit_step`
+    `TermComplex` from one memo per call; every label is twisted into W_to last."""
+    step = -1 if to_k < from_k else 1
+    src, dst = (1, 0) if step < 0 else (0, 1)
+    memo, terms = {}, [Term(0, GeneratorLabel(g.delta, g.det_power - from_k + src))]
+    for _ in range(from_k, to_k, step):
+        new_terms = []
+        for t in terms:
+            if ctx.r and in_window(t.label, dst, ctx):
+                image = (Term(0, t.label),)
+            else:
+                image = _unit_step(ctx, t.label, src, dst, keep_det, memo).terms
+            for u in image:
+                copies = t.copies * u.copies
+                if u.ext_power == 0:
+                    ext = t.ext_power
+                else:
+                    ext = u.ext_power
+                    if t.ext_power:
+                        copies *= comb(ctx.d, t.ext_power)
+                label = GeneratorLabel(u.label.delta, u.label.det_power - step)
+                new_terms.append(Term(t.degree + u.degree, label, ext, copies))
+        terms = new_terms
+    terms.sort(key=lambda t: t.degree)
+    return TermComplex(tuple(
+        t._replace(label=GeneratorLabel(t.label.delta, t.label.det_power + to_k - src))
+        for t in terms
+    ), honest=abs(from_k - to_k) <= 1)
+
+
+REFERENCE_PAIRS = [(2, -2), (-2, 2), (3, -1), (-1, 3), (1, 1), (0, 1), (1, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_general_shift_equals_the_node_reference(d):
+    for r in range(d + 1):
+        ctx = Context(d, r)
+        for from_k, to_k in REFERENCE_PAIRS:
+            gens = enumerate_window(ctx, from_k)
+            if r == 0:
+                gens += [GeneratorLabel(Partition(()), m) for m in range(-3, 4)]
+            for g, keep_det in product(gens, (False, True)):
+                got = general_shift(ctx, from_k, to_k, g, keep_det=keep_det)
+                ref = node_shift(ctx, from_k, to_k, g, keep_det)
+                assert got == ref, (d, r, g, from_k, to_k, keep_det)
+
+
+@pytest.mark.parametrize("from_k, to_k", [(2, -2), (-2, 2)])
+def test_general_shift_bench_sweeps_equal_the_node_reference(from_k, to_k):
+    ctx = Context(8, 4)
+    for g in enumerate_window(ctx, from_k):
+        assert general_shift(ctx, from_k, to_k, g) == node_shift(ctx, from_k, to_k, g, False), g
+
+
 def count_generator_shifts(monkeypatch):
     """Count the untwisted unit-step images built, by direction."""
     calls = {"down": 0, "up": 0}
@@ -442,8 +508,22 @@ def test_k_matrix_builds_each_untwisted_image_once(monkeypatch, d, r, from_k, to
     assert shared == k_matrix(ctx, inner, to_k)
 
 
+def count_images(monkeypatch):
+    """Count the untwisted unit-step images read from staircase rows, by
+    direction, and record each imaged label."""
+    calls, imaged = {"down": 0, "up": 0}, []
+
+    def counted(ctx, parts, m, down, keep_det, _honest=shifts._image_rows):
+        calls["down" if down else "up"] += 1
+        imaged.append(GeneratorLabel(Partition(parts), m))
+        return _honest(ctx, parts, m, down, keep_det)
+
+    monkeypatch.setattr(shifts, "_image_rows", counted)
+    return calls, imaged
+
+
 def test_general_shift_builds_each_untwisted_image_once(monkeypatch):
-    calls = count_generator_shifts(monkeypatch)
+    calls, _ = count_images(monkeypatch)
     ctx = Context(8, 4)
     general_shift(ctx, 2, -2, enumerate_window(ctx, 2)[-1])
     assert calls == {"down": 35, "up": 0}
@@ -452,29 +532,25 @@ def test_general_shift_builds_each_untwisted_image_once(monkeypatch):
 def test_general_shift_sweeps_build_no_overlap_image(monkeypatch):
     # one image per distinct label per call, and none for a label in both
     # windows of its step: it is its own image. Every label a step reaches is
-    # in W_src, so only its membership in W_dst is tested
-    calls = count_generator_shifts(monkeypatch)
-    tests = [0]
+    # in W_src, so only its membership in W_dst is tested, once per label, by
+    # the window rule on its raw weight; `in_window` checks only the caller's
+    # generator, once per call
+    calls, imaged = count_images(monkeypatch)
+    tests = {"in_window": 0, "_in_box": 0}
+    for name in tests:
 
-    def counted_in_window(*args, _honest=shifts.in_window):
-        tests[0] += 1
-        return _honest(*args)
+        def counted(*args, _honest=getattr(shifts, name), _name=name):
+            tests[_name] += 1
+            return _honest(*args)
 
-    monkeypatch.setattr(shifts, "in_window", counted_in_window)
-    imaged = []
-    for name in ("shift_down_generator", "shift_up_generator"):
-
-        def recorded(ctx, g, *args, _counted=getattr(shifts, name)):
-            imaged.append(g)
-            return _counted(ctx, g, *args)
-
-        monkeypatch.setattr(shifts, name, recorded)
-    ctx = Context(8, 4)
+        monkeypatch.setattr(shifts, name, counted)
+    ctx, shifted = Context(8, 4), 0
     for from_k, to_k in [(2, -2), (-2, 2)]:
         for g in enumerate_window(ctx, from_k):
             general_shift(ctx, from_k, to_k, g)
+            shifted += 1
     assert calls == {"down": 758, "up": 758}
-    assert tests[0] == 5872
+    assert tests == {"in_window": shifted, "_in_box": 2700}
     assert [g for g in imaged if in_window(g, 0, ctx) and in_window(g, 1, ctx)] == []
 
 

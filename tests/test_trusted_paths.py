@@ -152,7 +152,7 @@ def test_out_of_window_image_validates_only_the_callers_generator(monkeypatch, d
 
 
 class Uses(ast.NodeVisitor):
-    """(enclosing function, what) for each use of `Partition._trusted` or `_label`."""
+    """(enclosing function, what) for each use of `Partition._trusted`, `_label` or `_canonical`."""
 
     def __init__(self, source):
         self.source, self.scope, self.found = source, ["<module>"], []
@@ -170,13 +170,15 @@ class Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node):
-        if node.id == "_label":
-            self.found.append((self.scope[-1], "_label"))
+        if node.id in ("_label", "_canonical"):
+            self.found.append((self.scope[-1], node.id))
 
 
 def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
     # trust never reaches user input: the unchecked constructors run only on
-    # staircase rows, a top's shortened tail, and box partitions
+    # staircase rows, a top's shortened tail, box partitions, a checked
+    # generator's weight, and a skeleton's nodes, which are canonical staircase
+    # rows or the checked generator's own partition
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         uses = Uses(path.read_text())
@@ -185,9 +187,11 @@ def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
     found.sort()
     assert found == [
         ("partitions.py", "_label", "Partition._trusted"),
-        ("shifts.py", "shift_down_generator", "_label"),
-        ("shifts.py", "shift_down_generator", "_label"),
-        ("shifts.py", "shift_up_generator", "_label"),
+        ("partitions.py", "_label", "_canonical"),
+        ("shifts.py", "_image", "Partition._trusted"),
+        ("shifts.py", "_image_rows", "Partition._trusted"),
+        ("shifts.py", "_image_rows", "_canonical"),
+        ("shifts.py", "general_shift", "Partition._trusted"),
         ("staircase.py", "base_from_top", "Partition._trusted"),
         ("staircase.py", "staircase_diagrams", "Partition._trusted"),
         ("windows.py", "enumerate_window", "_label"),

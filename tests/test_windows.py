@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -8,6 +9,8 @@ from schurwin.partitions import (
     GeneratorLabel,
     Partition,
     ShapeError,
+    _canonical,
+    box_partitions,
     canonicalize,
     graded_lex_key,
 )
@@ -89,6 +92,23 @@ def test_membership_matches_enumeration():
             for k, members in window_sets.items():
                 for g in universe:
                     assert in_window(g, k, ctx) == (g in members), (d, r, k, g)
+
+
+def test_raw_window_rule_agrees_with_in_window():
+    # `shifts.general_shift` tests its raw (parts, det) nodes with `_in_box`,
+    # the rule `in_window` reads: both agree with the box test on the weight,
+    # for a label with r parts and for its canonical name alike
+    for d in range(1, 9):
+        for r in range(1, d + 1):
+            ctx = Context(d, r)
+            for p in box_partitions(r, d - r + 2):
+                q, c = _canonical(p.parts, r)
+                for m, k in product(range(-3, 4), range(-2, 3)):
+                    w = [x + m - k for x in p.pad(r)]
+                    expect = w[-1] >= 0 and w[0] <= d - r
+                    assert in_window(GeneratorLabel(p, m), k, ctx) == expect, (d, r, p, m, k)
+                    assert windows._in_box(p.parts, m, k, ctx) == expect, (d, r, p, m, k)
+                    assert windows._in_box(q, m + c, k, ctx) == expect, (d, r, p, m, k)
 
 
 def test_overlap_example_d4_r2():
