@@ -11,11 +11,11 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
-`_image_rows` reads each untwisted unit-step image from staircase rows as raw rows, which
-`shift_*_generator` wrap in the honest complexes `k_matrix` shares in one memo. `general_shift`
-keys its nodes on raw (parts, det) tuples, reads each image once per call (none for a label in
-both windows) and labels only its result. K-matrix products skip zeros. An image checks only
-the caller's generator; its staircase rows and labels are trusted.
+`shift_*_generator` are `general_shift` over one step; `k_matrix` shares their untwisted images
+in one memo. `general_shift` keys its nodes on raw (parts, det) tuples, reads each image from
+staircase rows (`_image_rows`) once per call (none for a label in both windows) and labels only
+its result. K-matrix products skip zeros. An image checks only the caller's generator; its
+staircase rows and labels are trusted.
 """
 
 from __future__ import annotations
@@ -72,25 +72,12 @@ class TermComplex(_TermComplexFields):
 
 def shift_down_generator(ctx: Context, g: GeneratorLabel) -> TermComplex:
     """Express a W_+1 generator in W_0 terms (the one-step downward shift)."""
-    return _image(ctx, g, True, False)
+    return general_shift(ctx, 1, 0, g)
 
 
 def shift_up_generator(ctx: Context, g: GeneratorLabel, keep_det: bool = False) -> TermComplex:
     """Express a W_0 generator in W_+1 terms (the one-step upward shift)."""
-    return _image(ctx, g, False, keep_det)
-
-
-def _image(ctx: Context, g: GeneratorLabel, down: bool, keep_det: bool) -> TermComplex:
-    """A generator of W_src in W_dst terms, (src, dst) = (1, 0) down or (0, 1) up: itself
-    in the overlap, else its `_image_rows` as an honest complex, its weight checked."""
-    src, dst = (1, 0) if down else (0, 1)
-    if not in_window(g, src, ctx):
-        raise ShapeError(f"generator not in W_{'+1' if down else '0'}: {g}")
-    if in_window(g, dst, ctx):
-        return TermComplex((Term(0, g),), honest=True)
-    rows = _image_rows(ctx, Partition(g.weight(ctx.r)).parts, 0, down, keep_det)
-    terms = (Term(i, GeneratorLabel(Partition._trusted(q), c), ext) for i, q, c, ext in rows)
-    return TermComplex(tuple(terms), honest=True)
+    return general_shift(ctx, 0, 1, g, keep_det)
 
 
 def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_det: bool):
@@ -113,15 +100,12 @@ def _unit_step(
     ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, keep_det: bool = False, memo=None
 ) -> TermComplex:
     """One-step shift between adjacent windows, via det-twist conjugation: the
-    W_1 -> W_0 or W_0 -> W_1 image of g untwisted by det^t, t = min(from_k, to_k),
-    kept under (untwisted label, downward, keep_det) in the caller's `memo`, if
-    any. The image is not twisted back: its det powers are less t."""
+    W_1 -> W_0 or W_0 -> W_1 image of g untwisted by det^t, t = min(from_k, to_k), from
+    `shift_*_generator` (`general_shift` over one step), kept under (untwisted label, downward,
+    keep_det) in the caller's `memo`, if any. Not twisted back: its det powers are less t."""
     if abs(from_k - to_k) != 1:
         raise ShapeError("unit step requires adjacent windows")
     down, twist = to_k < from_k, min(from_k, to_k)
-    if ctx.r == 0:
-        # rank zero: the trivial bundle, relabelled with the target window's marker less t
-        return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k - twist)),))
     g0 = GeneratorLabel(g.delta, g.det_power - twist)
     key, memo = (g0, down, keep_det), {} if memo is None else memo
     if key not in memo:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 from .partitions import Context, GeneratorLabel, ShapeError, _label, box_partitions
@@ -27,9 +28,10 @@ def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:
 
 
 def in_window(label: GeneratorLabel, k: int, ctx: Context) -> bool:
-    """True iff the label's weight, untwisted by det^k, is a box partition."""
-    parts = label.delta.pad(ctx.r)  # past r parts: ShapeError
-    return ctx.r == 0 or _in_box(parts, label.det_power, k, ctx)
+    """True iff the label's weight, untwisted by det^k, is a box partition. Past r parts:
+    ShapeError; a det power that is not an int (1.0, Fraction(1)): TypeError."""
+    parts, m = label.delta.pad(ctx.r), operator.index(label.det_power)
+    return ctx.r == 0 or _in_box(parts, m, k, ctx)
 
 
 def _in_box(parts: tuple[int, ...], m: int, k: int, ctx: Context) -> bool:

@@ -602,13 +602,44 @@ def test_unit_step_with_shared_memo_matches_memo_free(d, r):
 
 
 def test_general_shift_identity_and_single_step():
+    # one step's terms equal its wrapper's: checked in the rank grid below
     ctx = Context(4, 2)
     g = canonicalize((3, 2))
     assert general_shift(ctx, 1, 1, g).is_single_generator()
-    one = general_shift(ctx, 1, 0, g)
-    direct = shift_down_generator(ctx, g)
-    assert one.terms == direct.terms
-    assert one.honest
+    assert general_shift(ctx, 1, 0, g).honest
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_one_step_wrappers_are_general_shift_at_every_rank(d):
+    # r = 0 included: an image marked by its source window, ((), 1) down,
+    # would lie outside the W_0 basis and k_class would refuse it
+    for r in range(d + 1):
+        ctx = Context(d, r)
+        for src, dst, keep_det in [(1, 0, False), (0, 1, False), (0, 1, True)]:
+            target = enumerate_window(ctx, dst)
+            rows = k_matrix(ctx, src, dst).entries
+            for g, row in zip(enumerate_window(ctx, src), rows, strict=True):
+                if dst < src:
+                    got = shift_down_generator(ctx, g)
+                else:
+                    got = shift_up_generator(ctx, g, keep_det)
+                assert got == general_shift(ctx, src, dst, g, keep_det), (r, g, keep_det)
+                assert got.honest
+                assert k_class(ctx, got, target) == row, (r, g, keep_det)
+
+
+@pytest.mark.parametrize("det_power", [1.0, Fraction(1)])
+@pytest.mark.parametrize("parts", [(1,), (2,)])  # at (4, 2): in W_1 and W_0; in W_1 only
+def test_shifts_refuse_a_non_integer_det_power(parts, det_power):
+    ctx, g = Context(4, 2), GeneratorLabel(Partition(parts), det_power)
+    for shift in (
+        lambda: general_shift(ctx, 1, 0, g),
+        lambda: shift_down_generator(ctx, g),
+        lambda: shift_up_generator(ctx, g),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            shift()
+    assert shift_down_generator(ctx, g._replace(det_power=1)).honest
 
 
 def test_general_shift_two_steps_matches_matrix():

@@ -3,8 +3,9 @@
 `perfbench/tracer.py` names, per workload, the layers a pass must reach
 (`ACTIVE`: calls > 0) and the layers it must never reach (`IDLE`: 0 calls);
 a traced benchmark run rejects its result when one fails. Here one pass of
-each in-process workload runs under the tracer, so a change that routes work
-around a traced layer fails in the test suite too. Each job's output from
+each workload runs under the tracer, the cli's commands through `cli.main`
+in this process, so a change that routes work around a traced layer fails
+in the test suite too. Each job's output from
 that traced pass is also checked against `perfbench/expected.json`, as a
 benchmark worker checks it, so a change that crashes under the tracer or
 changes output bytes fails here as well. Only reads `perfbench/`.
@@ -34,7 +35,7 @@ def bench():
             sys.modules.pop(name, None)
 
 
-@pytest.mark.parametrize("workload", ["localize", "tilt", "relations"])
+@pytest.mark.parametrize("workload", ["localize", "tilt", "relations", "cli"])
 def test_layer_predictions_hold(bench, workload):
     common, tracer, workloads = bench
     job_list = workloads.jobs(workload, 0)
