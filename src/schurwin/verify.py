@@ -17,10 +17,11 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
 from math import comb, lcm
+from operator import mul
 
 from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
-from .partitions import Context, Partition, ShapeError, box_partitions
+from .partitions import Context, Partition, ShapeError, _bareiss, box_partitions
 from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
 from .staircase import (
     StaircaseStep,
@@ -119,6 +120,18 @@ def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
+def _over_base(mu, rows):
+    """(x, sign) if mu's Jacobi-Trudi offsets mu_i - i are `rows` with one x
+    inserted at place p, sign = (-1)^(len(rows) - p); else None. The offsets
+    strictly decrease, so p is the first place where they leave `rows`."""
+    offsets, p = [m - i for i, m in enumerate(mu)], 0
+    while p < len(rows) and offsets[p] == rows[p]:
+        p += 1
+    if len(offsets) == len(rows) + 1 and offsets[p + 1:] == rows[p:]:
+        return offsets[p], (-1) ** (len(rows) - p)
+    return None
+
+
 def _localization_counterexample(ctx, base, steps, points, memo=None):
     """First fixed point where the alternating sum is nonzero, or None.
 
@@ -127,16 +140,27 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     and the inverted subset coordinates y = b / q over the integers, term n
     is (-1)^n e_s(t) q_t^S * schur_at(mu, b) q^(M - |mu|); schur_at(mu, b) =
     schur_at(mu, y) q^|mu|, and a nonzero sum over q_t^S q^M is the residual.
-    `memo`, a dict the caller owns, is bound to `points`: at index p it keeps
-    (the point, {s: e_s(t)}, {fixed subset: (b, q, h, {padded diagram:
-    schur_at(mu, b, h)})}), h = `_h_table(b, m)`, m = max lam_1 + len(lam) - 1
-    over its diagrams so far; another point at index p raises ShapeError.
+    A staircase term's offsets mu_i - i are the base's first r - 1 offsets a
+    with one x inserted at place p, so its Jacobi-Trudi determinant is
+    (-1)^(r - 1 - p) det of the rows (h_(a + j))_j over (h_(x + j))_j, h_m = 0
+    for m < 0. That is linear in the last row: the terms whose own rows match
+    sum exactly into one `_bareiss` over one combined row. Any other term,
+    such as a corrupted one, is its own `schur_at(mu, b, h)`. A zero sum is a
+    necessary condition for exactness only. `memo`, a dict the caller owns,
+    is bound to `points`: at index p it keeps (the point, {s: e_s(t)},
+    {fixed subset: (b, q, h)}), h = `_h_table(b, m)`, m = max mu_1 + r - 1
+    over its diagrams so far, the last index a row reads; another point at
+    index p raises ShapeError.
     """
     r, d = ctx.r, ctx.d
     memo = {} if memo is None else memo
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
     sizes = [sum(mu) for mu in diagrams]
-    top_h = max(sum(mu[:1]) + sum(map(bool, mu)) - 1 for mu in diagrams)
+    rows = [a - i for i, a in enumerate(diagrams[0][: r - 1])]  # the base's first r - 1 offsets
+    over = [_over_base(mu, rows) for mu in diagrams]  # at r >= 1 the base itself is over
+    signs = [hit[1] if hit else 1 for hit in over]
+    top_h = max(sum(mu[:1]) for mu in diagrams) + r - 1
+    pad = (0,) * (r - 1)  # every offset is at least 1 - r
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
     top_s, top_m = max(wedges), max(sizes)
     for p, t in enumerate(points):
@@ -145,19 +169,23 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
             raise ShapeError(f"memo has point {p} as {[*map(str, kept)]}, not {[*map(str, t)]}")
         es.update((s, elementary_at(t, s)) for s in set(wedges) - es.keys())
         scale = lcm(*(x.denominator for x in t)) ** top_s
-        coeffs = [(-1) ** n * es[s].numerator * (scale // es[s].denominator)
-                  for n, s in enumerate(wedges)]
+        coeffs = [(-1) ** n * sign * es[s].numerator * (scale // es[s].denominator)
+                  for n, (s, sign) in enumerate(zip(wedges, signs))]
         for fixed in combinations(range(d), r):
-            entry = cleared.get(fixed) or (*_cleared([Fraction(1) / t[i] for i in fixed]), (), {})
-            b, q, h, values = entry
+            b, q, h = cleared.get(fixed) or (*_cleared([Fraction(1) / t[i] for i in fixed]), ())
             if len(h) <= top_h:  # new, or too short for this staircase
-                cleared[fixed] = (b, q, (h := _h_table(b, top_h)), values)
-            total = 0
-            for mu, size, c in zip(diagrams, sizes, coeffs):
-                value = values.get(mu)
-                if value is None:
-                    value = values[mu] = schur_at(mu, b, h)
-                total += c * value * q ** (top_m - size)
+                cleared[fixed] = (b, q, (h := _h_table(b, top_h)))
+            hz = pad + h  # hz[m + r - 1] = h_m, with h_m = 0 for m < 0
+            total, weights, segments = 0, [], []
+            for mu, size, c, hit in zip(diagrams, sizes, coeffs, over):
+                if hit is None:
+                    total += c * schur_at(mu, b, h) * q ** (top_m - size)
+                else:
+                    weights.append(c * q ** (top_m - size))
+                    segments.append(hz[hit[0] + r - 1 : hit[0] + 2 * r - 1])
+            if r:  # the base's r - 1 rows over the combined row
+                mat = [list(hz[a + r - 1 : a + 2 * r - 1]) for a in rows]
+                total += _bareiss(mat + [[sum(map(mul, weights, col)) for col in zip(*segments)]])
             if total:
                 return {
                     "delta": list(base.parts),

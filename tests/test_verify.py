@@ -496,16 +496,12 @@ def test_localization_memo_shared_across_calls():
         for s, value in es.items():
             assert value == elementary_at(t, s)
         assert sorted(cleared) == list(combinations(range(4), 2))
-        for fixed, (b, q, h, values) in cleared.items():
+        for fixed, (b, q, h) in cleared.items():
             y = tuple(1 / t[i] for i in fixed)
             assert q == lcm(*(x.denominator for x in y))
             assert b == tuple(x * q for x in y)
-            assert len(h) == 5  # h_0..h_4: the top (2, 2) needs h_{2 + 2 - 1}, (4,) h_4
+            assert len(h) == 5  # h_0..h_4: the top (3, 3)'s first row reads h_3..h_(3 + 1)
             assert h == symfunc._h_table(b, len(h) - 1)
-            assert values
-            for mu, value in values.items():
-                assert type(value) is int
-                assert value == schur_at(mu, y) * q ** sum(mu)
 
 
 def test_localization_memo_bound_to_its_points():
@@ -525,38 +521,76 @@ def test_localization_memo_bound_to_its_points():
     assert localization_holds(ctx, base, steps, first[:1], memo)
 
 
-def test_localization_evaluates_each_value_once(monkeypatch):
-    # one memo over every base of (6,3): one schur_at call per (point, fixed
-    # subset, diagram), at an integer point, and one elementary_at per (point, s)
-    ctx = Context(6, 3)
-    rng = random.Random(6)
-    points = [sample_point(rng, 6) for _ in range(3)]
-    schur_args, e_args = [], []
+def _one_row_over(mu, base, r):
+    """Whether mu is the base with one row inserted and each base row below it
+    one box longer, the shape of every staircase term."""
+    rows = base.pad(r - 1)
+    return any(
+        mu[:p] == rows[:p] and mu[p + 1:] == tuple(x + 1 for x in rows[p:]) for p in range(r)
+    )
+
+
+def _count_kernels(monkeypatch, points):
+    calls = {"schur_at": [], "elementary_at": [], "_bareiss": []}
 
     def counted_schur(*args):
-        schur_args.append(args)
+        calls["schur_at"].append(args)
         return schur_at(*args)
 
     def counted_elementary(t, s):
-        e_args.append((points.index(t), s))
+        calls["elementary_at"].append((points.index(t), s))
         return elementary_at(t, s)
+
+    def counted_bareiss(mat):
+        calls["_bareiss"].append(len(mat))
+        return _bareiss(mat)
 
     monkeypatch.setattr(verify, "schur_at", counted_schur)
     monkeypatch.setattr(verify, "elementary_at", counted_elementary)
-    memo, values, wedges = {}, set(), set()
-    for base in admissible_bases(ctx):
+    monkeypatch.setattr(verify, "_bareiss", counted_bareiss)
+    return calls
+
+
+def test_localization_evaluates_each_value_once(monkeypatch):
+    # one memo over every base of (6,3): one size-r determinant per (point,
+    # fixed subset, base), no schur_at for a real staircase, whose every term
+    # is one row over its base, and one elementary_at per (point, s)
+    ctx = Context(6, 3)
+    rng = random.Random(6)
+    points = [sample_point(rng, 6) for _ in range(3)]
+    calls = _count_kernels(monkeypatch, points)
+    memo, wedges, bases = {}, set(), admissible_bases(ctx)
+    for base in bases:
         steps = staircase_diagrams(ctx, base).steps
         assert localization_holds(ctx, base, steps, points, memo)
-        diagrams = [base.pad(3)] + [st.delta.pad(3) for st in steps]
-        for p, fixed in product(range(3), combinations(range(6), 3)):
-            values.update((p, fixed, mu) for mu in diagrams)
+        assert all(_one_row_over(st.delta.pad(3), base, 3) for st in steps)
         wedges.update((p, s) for p in range(3) for s in [0] + [st.s for st in steps])
-    assert len(schur_args) == len(values) == len(set(schur_args))
-    for args in schur_args:
-        hash(args)
-        assert [type(a) for a in args] == [tuple, tuple, tuple]
-        assert {type(x) for x in args[0] + args[1] + args[2]} == {int}
-    assert sorted(e_args) == sorted(wedges)
+    assert calls["_bareiss"] == [3] * (len(bases) * 3 * 20)
+    assert calls["schur_at"] == []
+    assert sorted(calls["elementary_at"]) == sorted(wedges)
+    # a corrupted staircase: schur_at exactly for the terms not over the
+    # base, one per (point, subset) visited, at an integer point and table
+    rng = random.Random(7)
+    seen = 0
+    for _ in range(40):
+        base = bases[rng.randrange(len(bases))]
+        steps = mutate_steps(rng, ctx, staircase_diagrams(ctx, base).steps)
+        off = [mu for mu in (st.delta.pad(3) for st in steps) if not _one_row_over(mu, base, 3)]
+        del calls["schur_at"][:], calls["_bareiss"][:]
+        ce = _localization_counterexample(ctx, base, steps, points, memo)
+        assert ce is not None
+        p = [[str(x) for x in t] for t in points].index(ce["point"])
+        fixed = tuple(i - 1 for i in ce["fixedPoint"])
+        visited = p * 20 + list(combinations(range(6), 3)).index(fixed) + 1
+        assert calls["_bareiss"] == [3] * visited
+        assert [args[0] for args in calls["schur_at"]] == off * visited
+        for args in calls["schur_at"]:
+            hash(args)
+            assert [type(a) for a in args] == [tuple, tuple, tuple]
+            assert {type(x) for x in args[0] + args[1] + args[2]} == {int}
+        seen += bool(off)
+    assert seen >= 10
+    assert sorted(calls["elementary_at"]) == sorted(set(calls["elementary_at"]))
 
 
 def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
@@ -576,27 +610,166 @@ def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
     memo = {}
     for base in admissible_bases(ctx):
         assert localization_holds(ctx, base, staircase_diagrams(ctx, base).steps, points, memo)
-    stored = [
-        (b, len(h) - 1) for _, _, cleared in memo.values() for b, _, h, _ in cleared.values()
-    ]
+    stored = [(b, len(h) - 1) for _, _, cleared in memo.values() for b, _, h in cleared.values()]
     assert len(stored) == 3 * 20
     assert sorted(built) == sorted(stored)
-    # a staircase needing a longer table rebuilds it, keeping the values
+    # a staircase needing a longer table rebuilds it, keeping b and q
     base = admissible_bases(ctx)[0]
     steps = list(staircase_diagrams(ctx, base).steps)
     top = steps[-1].delta.pad(3)
     steps[-1] = StaircaseStep(Partition((top[0] + 1,) + top[1:]), steps[-1].s)
-    kept = {fixed: dict(entry[3]) for fixed, entry in memo[0][2].items()}
+    kept = dict(memo[0][2])
     assert not localization_holds(ctx, base, tuple(steps), points[:1], memo)
     fixed = (0, 1, 2)  # the first subset the check visits
-    b, _, h, values = memo[0][2][fixed]
+    b, q, h = memo[0][2][fixed]
+    assert (b, q) == kept[fixed][:2]
     assert h == h_table(b, 7) and (b, 7) in built
-    assert kept[fixed].items() <= values.items()
+
+
+def _term_by_term_counterexample(ctx, base, steps, points):
+    """Reference: each fixed point's integer sum with one schur_at per
+    (point, fixed subset, diagram), each building its own h-table, no memo."""
+    r, d = ctx.r, ctx.d
+    diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
+    sizes = [sum(mu) for mu in diagrams]
+    wedges = [0] + [st.s for st in steps]
+    top_s, top_m = max(wedges), max(sizes)
+    for t in points:
+        scale = lcm(*(x.denominator for x in t)) ** top_s
+        es = [elementary_at(t, s) for s in wedges]
+        coeffs = [(-1) ** n * e.numerator * (scale // e.denominator) for n, e in enumerate(es)]
+        for fixed in combinations(range(d), r):
+            y = [Fraction(1) / t[i] for i in fixed]
+            q = lcm(*(x.denominator for x in y))
+            b = tuple(x.numerator * (q // x.denominator) for x in y)
+            total = sum(
+                c * schur_at(mu, b) * q ** (top_m - size)
+                for mu, size, c in zip(diagrams, sizes, coeffs)
+            )
+            if total:
+                return {
+                    "delta": list(base.parts),
+                    "fixedPoint": [i + 1 for i in fixed],
+                    "point": [str(x) for x in t],
+                    "residual": str(Fraction(total, scale * q**top_m)),
+                    "steps": [[list(st.delta.parts), st.s] for st in steps],
+                }
+    return None
+
+
+def test_localization_matches_term_by_term_on_every_base():
+    for d in range(1, 9):
+        for r in range(1, min(d, 4) + 1):
+            ctx = Context(d, r)
+            points = [sample_point(random.Random(10 * d + r), d)]
+            memo = {}
+            for base in admissible_bases(ctx):
+                steps = staircase_diagrams(ctx, base).steps
+                expected = _term_by_term_counterexample(ctx, base, steps, points)
+                assert expected is None
+                assert _localization_counterexample(ctx, base, steps, points, memo) is None
+
+
+@pytest.mark.parametrize("d, r", [(6, 3), (7, 3), (8, 4)])
+def test_localization_matches_term_by_term_on_mutations(d, r):
+    # wedge-only mutations keep every term over the base; box moves mostly do not,
+    # and both sides must agree on the verdict and the residual string
+    ctx = Context(d, r)
+    rng = random.Random(d * r)
+    points = [sample_point(rng, d) for _ in range(2)]
+    bases, memo = admissible_bases(ctx), {}
+    kinds = {"wedge": 0, "over": 0, "off": 0}
+    for _ in range(110):
+        base = bases[rng.randrange(len(bases))]
+        honest = staircase_diagrams(ctx, base).steps
+        steps = mutate_steps(rng, ctx, honest)
+        if [st.delta for st in steps] == [st.delta for st in honest]:
+            kinds["wedge"] += 1
+        elif all(_one_row_over(st.delta.pad(r), base, r) for st in steps):
+            kinds["over"] += 1
+        else:
+            kinds["off"] += 1
+        expected = _term_by_term_counterexample(ctx, base, steps, points)
+        assert _localization_counterexample(ctx, base, steps, points) == expected
+        assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+    assert kinds["wedge"] >= 30 and kinds["over"] >= 5 and kinds["off"] >= 20
+
+
+def test_localization_h_table_covers_the_base_rows():
+    # the combined determinant reads the base's rows up to h_(3 + 2): one past
+    # what the base's own Jacobi-Trudi matrix reads
+    ctx = Context(5, 3)
+    rng = random.Random(11)
+    points = [sample_point(rng, 5) for _ in range(2)]
+    base = Partition((3, 2))
+    memo = {}
+    assert not localization_holds(ctx, base, (), points, memo)
+    assert _localization_counterexample(ctx, base, (), points) == _term_by_term_counterexample(
+        ctx, base, (), points
+    )
+    assert all(len(h) == 6 for _, _, h in memo[0][2].values())
+
+
+def test_localization_long_inserted_row(monkeypatch):
+    # a hand-built term one row over the base (1,): a row of 7 inserted on top,
+    # longer than any real step's (d - r + 1 = 3), read up to h_(7 + 2)
+    ctx = Context(5, 3)
+    rng = random.Random(12)
+    points = [sample_point(rng, 5) for _ in range(2)]
+    base = Partition((1,))
+    steps = staircase_diagrams(ctx, base).steps + (StaircaseStep(Partition((7, 2, 1)), 4),)
+    assert _one_row_over((7, 2, 1), base, 3)
+    expected = _term_by_term_counterexample(ctx, base, steps, points)
+    assert expected is not None
+    calls = _count_kernels(monkeypatch, points)
+    memo = {}
+    assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+    assert calls["schur_at"] == [] and calls["_bareiss"] == [3]
+    assert len(memo[0][2][(0, 1, 2)][2]) == 10
+
+
+def test_localization_rank_one_is_a_single_entry(monkeypatch):
+    # r = 1: no base rows, so every term is over the base and the determinant is 1 x 1
+    ctx = Context(4, 1)
+    rng = random.Random(13)
+    points = [sample_point(rng, 4) for _ in range(2)]
+    base = Partition(())
+    honest = staircase_diagrams(ctx, base).steps
+    calls = _count_kernels(monkeypatch, points)
+    assert localization_holds(ctx, base, honest, points)
+    assert calls["schur_at"] == [] and calls["_bareiss"] == [1] * 2 * 4
+    for steps in (honest[:-1], honest + (StaircaseStep(Partition((9,)), 2),),
+                  (StaircaseStep(honest[0].delta, 3),) + honest[1:]):
+        expected = _term_by_term_counterexample(ctx, base, steps, points)
+        assert expected is not None
+        assert _localization_counterexample(ctx, base, steps, points) == expected
+    assert calls["schur_at"] == []
+
+
+def test_localization_rank_zero_has_no_determinant(monkeypatch):
+    # r = 0: one empty fixed subset, every term is s_() = 1 through schur_at,
+    # and the sum is the alternating sum of e_s(t)
+    ctx = Context(3, 0)
+    rng = random.Random(14)
+    points = [sample_point(rng, 3) for _ in range(2)]
+    empty = Partition(())
+    calls = _count_kernels(monkeypatch, points)
+    for wedges in [(), (1,), (0,), (1, 2), (0, 3, 3)]:
+        steps = tuple(StaircaseStep(empty, s) for s in wedges)
+        expected = _term_by_term_counterexample(ctx, empty, steps, points)
+        assert _localization_counterexample(ctx, empty, steps, points) == expected
+        assert (expected is None) == (wedges in [(0,), (0, 3, 3)])
+    assert calls["_bareiss"] == []
+    assert {args[0] for args in calls["schur_at"]} == {()}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_localization_passes_d8_r4(seed):
     assert verify_localization(Context(8, 4), seed=seed).passed
+
+
+def test_localization_passes_d9_r4():
+    assert verify_localization(Context(9, 4), seed=0).passed
 
 
 def _fraction_counterexample(ctx, base, steps, points):
