@@ -13,6 +13,8 @@ convention passing those is equivalent for our purposes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import sub
 from typing import NamedTuple
 
 from .partitions import (
@@ -112,14 +114,23 @@ def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[tuple[int, ..
     return hit
 
 
+def _class_key(u, v):
+    """The `memo` key of the translation class of two `_translated` weights: the sorted pair."""
+    return (u, v) if u <= v else (v, u)
+
+
 def _lr_class(r: int, u, v, memo=None, steps=None):
-    """`memo` entry (a dict the caller owns) of the translation class of two
-    `_translated` length-r weights, keyed by the sorted pair: (their LR terms
-    at r rows, {(d, offset): Bott hits}). `steps` goes to `lr_multiply`."""
-    pair = (u, v) if u <= v else (v, u)
+    """`memo` entry (a dict the caller owns, keyed by `_class_key`) of the translation class of
+    two `_translated` length-r weights: (its LR terms at r rows as (a, mult), a_i = i - key_i
+    strictly increasing for the key padded to r, {(d, offset): Bott hits}). `steps` goes to
+    `lr_multiply`."""
+    pair = _class_key(u, v)
     memo = {} if memo is None else memo
     if pair not in memo:
-        memo[pair] = (lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms, {})
+        terms = lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms
+        zeros = (0,) * r
+        memo[pair] = ([(tuple(map(sub, range(r), key + zeros[len(key):])), m)
+                       for key, m in terms.items()], {})
     return memo[pair]
 
 
@@ -130,26 +141,28 @@ def hom_bundle_cohomology(
 
     `weights`, `memo` and `steps` are dicts the caller owns. `weights` keeps
     each shape's translated weight; `_lr_class` gives the GL(r) LR terms of
-    the pair's translation class (shared through `memo` and `steps`). The
-    dotted Weyl action, with zero Q^v weight, runs on the terms less the
-    offset once per class and offset; the hits (degree, weight, mult) stay in
-    the memo entry under (d, offset), and each call builds a fresh table.
-    The Q block of the rho-shifted vector is the run -r..-(d-1), so a term lam
-    vanishes, with no `_dotted_weyl` call, iff some row i has r <= i - lam_i < d.
+    the pair's translation class (shared through `memo` and `steps`). Bott's
+    rule with zero Q^v weight is closed form: at total offset t a term lam = key - t
+    has rho-shifted S entries -(a_i + t) around the Q run -r..-(d-1), so it survives
+    iff k = bisect_left(a, r - t) is r or a_k + t >= d, in degree (d - r)(r - k) with
+    weight (lam_0..lam_{k-1}, (k - r)^(d-r), lam_k + d - r..lam_{r-1} + d - r). The hits
+    (degree, weight, mult) stay in the memo entry under (d, t); each call builds a fresh table.
     """
     r, d = ctx.r, ctx.d
     weights = {} if weights is None else weights
     (u, nu), (v, nv) = _box_weight(weights, gamma, r, True), _box_weight(weights, delta, r, False)
-    terms, by_offset = _lr_class(r, u, v, memo, steps)
-    total = nu + nv
-    hits = by_offset.get((d, total))
+    rows, by_offset = _lr_class(r, u, v, memo, steps)
+    t = nu + nv
+    hits = by_offset.get((d, t))
     if hits is None:
-        tail = (0,) * (d - r)  # the Q^v weight
-        hits = by_offset[(d, total)] = []  # one memo may serve several d at this r
-        for key, mult in terms.items():
-            lam = tuple(x - total for x in key + (0,) * (r - len(key)))
-            if not any(r <= i - x < d for i, x in enumerate(lam)):
-                hits.append((*_dotted_weyl(lam, tail), mult))
+        q, low, high = d - r, r - t, d - t
+        hits = by_offset[(d, t)] = []  # one memo may serve several d at this r
+        for a, mult in rows:
+            k = bisect_left(a, low)
+            if k == r or a[k] >= high:
+                lam = [i - x - t for i, x in enumerate(a)]
+                weight = (*lam[:k], *(k - r,) * q, *(x + q for x in lam[k:]))
+                hits.append((q * (r - k), weight, mult))
     out = CohomologyTable()
     for hit in hits:
         out.add(*hit)

@@ -19,7 +19,9 @@ from itertools import combinations, product
 from math import comb, lcm
 from operator import mul
 
-from .bott import HomogeneousWeight, euler_character, hom_bundle_cohomology
+from .bott import (
+    HomogeneousWeight, _box_weight, _class_key, euler_character, hom_bundle_cohomology
+)
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
 from .partitions import Context, Partition, ShapeError, _bareiss, box_partitions
 from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
@@ -340,14 +342,26 @@ def verify_euler(ctx: Context, delta=None) -> VerificationReport:
 
 
 def _tilting_failures(ctx: Context, shapes):
-    memo: dict = {}  # LR terms per translated weight pair, for this call only
-    steps: dict = {}  # LR strip-DP transitions, shared by this call's products
-    weights: dict = {}  # each shape's translated weight, made once per call
-    for gamma, delta in product(shapes, repeat=2):
-        table = hom_bundle_cohomology(ctx, gamma, delta, memo, steps, weights)
-        bad = [deg for deg in table.nonzero_degrees() if deg > 0]
-        if bad:
-            yield {"gamma": list(gamma.parts), "delta": list(delta.parts), "degrees": bad}
+    """Pairs of `shapes` with higher Ext, by their first pair in pair order. A pair's table
+    depends only on its key, the `_class_key` of its translated weights and their total offset:
+    each key is decided once, class by class, and the memo is cleared after each class."""
+    memo, steps, weights, r = {}, {}, {}, ctx.r  # `steps`: the LR strip-DP transitions
+    duals = [_box_weight(weights, s, r, True) for s in shapes]
+    plains = [_box_weight(weights, s, r, False) for s in shapes]
+    first: dict = {}  # class -> {total offset: (i, j) of its first pair}
+    for i, (u, nu) in enumerate(duals):
+        for j, (v, nv) in enumerate(plains):
+            first.setdefault(_class_key(u, v), {}).setdefault(nu + nv, (i, j))
+    failing = []
+    for offsets in first.values():
+        for i, j in offsets.values():
+            table = hom_bundle_cohomology(ctx, shapes[i], shapes[j], memo, steps, weights)
+            bad = [deg for deg in table.nonzero_degrees() if deg > 0]
+            if bad:
+                failing.append((i, j, bad))
+        memo.clear()
+    for i, j, bad in sorted(failing):
+        yield {"gamma": list(shapes[i].parts), "delta": list(shapes[j].parts), "degrees": bad}
 
 
 def verify_tilting(ctx: Context) -> VerificationReport:

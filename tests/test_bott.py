@@ -209,9 +209,10 @@ def test_hom_bundle_shared_memo_matches_fresh_calls():
 
 def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     # Hom(S^v(gamma), S^v(delta)) depends only on the translated, sorted weight
-    # pair and the total offset: each LR term of each such key is classified
-    # once, not once per term of every box pair. The zero-Q^v vanish test sees
-    # every such term; only the survivors reach the dotted Weyl action
+    # pair and the total offset: each LR term of each such key is tested once,
+    # not once per term of every box pair. The Hom path reads each survivor's
+    # hit off its bisect position, with no dotted Weyl action, and the hits it
+    # keeps per key are the dotted Weyl action's
     ctx = Context(6, 3)
     shapes = box_partitions(ctx.r, ctx.d - ctx.r)
     terms, keys, per_pair, lr_terms = {}, set(), 0, {}
@@ -224,16 +225,20 @@ def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
         keys.add((pair, -u[-1] - v[-1]))
         per_pair += terms[pair]
     assert (len(shapes) ** 2, len(terms), len(keys)) == (400, 55, 165)
-    calls = [0]
+    calls, tests = [0], [0]
     honest = bott._dotted_weyl
-    seen = Counter()
+    honest_bisect = bott.bisect_left
 
     def counted(*args):
         calls[0] += 1
-        seen[args] += 1
         return honest(*args)
 
+    def counted_bisect(*args):
+        tests[0] += 1
+        return honest_bisect(*args)
+
     monkeypatch.setattr(bott, "_dotted_weyl", counted)
+    monkeypatch.setattr(bott, "bisect_left", counted_bisect)
     memo = {}
     for gamma, delta in product(shapes, repeat=2):
         hom_bundle_cohomology(ctx, gamma, delta, memo)
@@ -245,7 +250,19 @@ def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     ]
     survivors = Counter((lam, tail) for lam in lams if honest(lam, tail) is not None)
     assert sum(terms[pair] for pair, _ in keys) == len(lams) == 426 < per_pair
-    assert seen == survivors and calls[0] == 97
+    assert calls[0] == 0 and tests[0] == 426
+    assert sum(len(by_offset) for _, by_offset in memo.values()) == 165
+    stored = Counter()
+    for pair, total in keys:
+        hits = memo[pair][1][(ctx.d, total)]
+        stored.update((deg, w) for deg, w, _ in hits)
+        expected = {}
+        for key, mult in lr_terms[pair].items():
+            hit = honest(tuple(x - total for x in key + (0,) * (ctx.r - len(key))), tail)
+            if hit is not None:
+                expected[hit] = mult
+        assert {(deg, w): m for deg, w, m in hits} == expected
+    assert stored == Counter(honest(*args) for args in survivors.elements())
 
 
 def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
@@ -254,7 +271,8 @@ def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
     # the dotted Weyl action's verdict, degree and weight
     rng = random.Random(20)
     term = {}
-    monkeypatch.setattr(bott, "_lr_class", lambda *args: (term, {}))
+    monkeypatch.setattr(bott, "_lr_class", lambda *args: (
+        [(tuple(i - x for i, x in enumerate(k)), m) for k, m in term.items()], {}))
     seen = set()
     for _ in range(20000):
         d = rng.randint(1, 10)
@@ -268,6 +286,42 @@ def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
         assert table == CohomologyTable({} if hit is None else {hit[0]: {hit[1]: 1}}), (d, r, lam)
         seen.add((hit is None, bool(hit and hit[0])))
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+def _hom_by_bwb(ctx, gamma, delta):
+    """Reference: the LR terms of the two weights translated to partitions, each
+    less the total offset and classified alone by `bwb` with zero Q^v weight."""
+    r = ctx.r
+    u, v = dual_weight(gamma.pad(r)), delta.pad(r)
+    cu, cv = (-u[-1], -v[-1]) if r else (0, 0)
+    terms = lr_multiply(tuple(x + cu for x in u), tuple(x + cv for x in v), rank=r).terms
+    table = CohomologyTable()
+    for key, mult in terms.items():
+        lam = tuple(x - cu - cv for x in key + (0,) * (r - len(key)))
+        for deg, row in bwb(ctx, HomogeneousWeight(lam, (0,) * (ctx.d - r))).groups.items():
+            for w, m in row.items():
+                table.add(deg, w, m * mult)
+    return table
+
+
+# r -> the d sharing one memo: (3,1), (4,2), (5,1), (5,4), (6,3), (7,3), and r = 0 and r = d
+CLOSED_FORM_CELLS = {0: (1, 3), 1: (3, 5, 1), 2: (4, 2), 3: (6, 7, 3), 4: (5, 4)}
+
+
+@pytest.mark.parametrize("r, ds", sorted(CLOSED_FORM_CELLS.items()))
+def test_hom_closed_form_matches_bwb_term_by_term(r, ds):
+    # box pairs and pairs two columns past the box, fresh and through one memo
+    # shared across every d at this r
+    memo, positive = {}, set()
+    for d in ds:
+        ctx = Context(d, r)
+        shapes = box_partitions(r, d - r + 2)
+        for gamma, delta in product(shapes, repeat=2):
+            expected = _hom_by_bwb(ctx, gamma, delta)
+            assert hom_bundle_cohomology(ctx, gamma, delta) == expected, (d, gamma, delta)
+            assert hom_bundle_cohomology(ctx, gamma, delta, memo) == expected, (d, gamma, delta)
+            positive.update(deg for deg in expected.groups if deg > 0)
+    assert bool(positive) == (r > 0 and any(d > r for d in ds))
 
 
 def test_hom_bundle_memo_hit_returns_a_fresh_table():

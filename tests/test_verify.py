@@ -9,7 +9,9 @@ from math import lcm
 import pytest
 
 from schurwin import bott, shifts, symfunc, verify
-from schurwin.partitions import Context, Partition, ShapeError, _bareiss
+from schurwin.partitions import (
+    Context, Partition, ShapeError, _bareiss, box_partitions, dual_weight
+)
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
 from schurwin.symfunc import elementary_at, schur_at
 from schurwin.verify import (
@@ -837,6 +839,82 @@ def test_tilting_makes_one_lr_product_per_translation_class(monkeypatch, d, r, c
     monkeypatch.setattr(bott, "lr_multiply", counted)
     assert verify_tilting(Context(d, r)).passed
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("d, r, calls", [(6, 3, 165), (7, 3, 440)])
+def test_tilting_decides_each_class_and_offset_once(monkeypatch, d, r, calls):
+    # one Hom call per (translation class, total offset) key, not one per pair
+    # (400 and 1,225), and at most one class entry alive in the sweep's memo
+    count, alive = [0], []
+    honest_hom, honest_class = verify.hom_bundle_cohomology, bott._lr_class
+
+    def counted(*args):
+        count[0] += 1
+        return honest_hom(*args)
+
+    def spied(r, u, v, memo=None, steps=None):
+        entry = honest_class(r, u, v, memo, steps)
+        alive.append(len(memo))
+        return entry
+
+    monkeypatch.setattr(verify, "hom_bundle_cohomology", counted)
+    monkeypatch.setattr(bott, "_lr_class", spied)
+    assert verify_tilting(Context(d, r)).passed
+    assert count[0] == len(alive) == calls and max(alive) == 1
+
+
+def _tilting_failures_per_pair(ctx, shapes, hom):
+    """Reference: one `hom` call per (gamma, delta), in pair order."""
+    memo, steps, weights = {}, {}, {}
+    for gamma, delta in product(shapes, repeat=2):
+        table = hom(ctx, gamma, delta, memo, steps, weights)
+        bad = [deg for deg in table.nonzero_degrees() if deg > 0]
+        if bad:
+            yield {"gamma": list(gamma.parts), "delta": list(delta.parts), "degrees": bad}
+
+
+def _hom_key(r, gamma, delta):
+    """(sorted pair of translated weights, total offset) of Hom(S^v(gamma), S^v(delta))."""
+    u, v = dual_weight(gamma.pad(r)), delta.pad(r)
+    pair = tuple(sorted((tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v))))
+    return pair, -u[-1] - v[-1]
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (6, 3)])
+def test_tilting_reports_the_first_failing_pair_in_pair_order(monkeypatch, d, r):
+    ctx = Context(d, r)
+    shapes = box_partitions(r, d - r)
+    first_pair, class_rank = {}, {}
+    for n, (gamma, delta) in enumerate(product(shapes, repeat=2)):
+        key = _hom_key(r, gamma, delta)
+        first_pair.setdefault(key, n)
+        class_rank.setdefault(key[0], len(class_rank))
+    # a class grouped later whose key owns an earlier pair than a key of an earlier class
+    crossed = next((a, b) for a in first_pair for b in first_pair
+                   if class_rank[a[0]] < class_rank[b[0]] and first_pair[b] < first_pair[a])
+    rng = random.Random(d)
+    keys = list(first_pair)
+    honest = verify.hom_bundle_cohomology
+    for chosen in [crossed] + [rng.sample(keys, k) for k in (1, 1, 2, 3, 5)]:
+        decided = []
+
+        def hom_with_ext(ctx, gamma, delta, *tables):
+            table = honest(ctx, gamma, delta, *tables)
+            key = _hom_key(r, gamma, delta)
+            decided.append(key)
+            if key in chosen:
+                table.add(1 + first_pair[key] % 3, (0,) * d)
+            return table
+
+        monkeypatch.setattr(verify, "hom_bundle_cohomology", hom_with_ext)
+        report = verify_tilting(ctx)
+        order = {key: n for n, key in reversed(list(enumerate(decided)))}
+        expected = next(_tilting_failures_per_pair(ctx, shapes, hom_with_ext))
+        assert not report.passed and report.counterexample == expected
+        if chosen is crossed:  # the sweep decides a first, but b's pair comes first
+            assert order[crossed[0]] < order[crossed[1]]
+            gamma, delta = list(product(shapes, repeat=2))[first_pair[crossed[1]]]
+            assert (expected["gamma"], expected["delta"]) == (list(gamma.parts), list(delta.parts))
 
 
 @pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3), (8, 4), (9, 4), (10, 4)])
