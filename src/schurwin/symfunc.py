@@ -1,12 +1,12 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
-Products are computed by the Littlewood-Richardson tableau rule (exact integer
-coefficients, no floating point anywhere); a GL(r) product with a det-twisted
-column (c+1)^k c^(r-k), a wedge power say, is the Pieri rule on the other weight
-plus c. Evaluation takes the Jacobi-Trudi determinant by Bareiss elimination at
-a point of ints, as given (any other point is cleared to b / q first, and a
-float coordinate raises TypeError); it stays well defined at repeated
-coordinates, with no bialternant ratio.
+Products use the Littlewood-Richardson tableau rule, one horizontal strip per letter,
+each strip's successor states built in one pass (exact integer coefficients, no floats);
+a GL(r) product with a det-twisted column (c+1)^k c^(r-k), a wedge power say, is the
+Pieri rule on the other weight plus c, one count of grown rows per run of equal entries.
+Evaluation takes the Jacobi-Trudi determinant by Bareiss elimination at a point of ints,
+as given (any other point is cleared to b / q first, and a float coordinate raises
+TypeError); it stays well defined at repeated coordinates, with no bialternant ratio.
 Coefficients and scalars are integers: a float or Fraction raises TypeError
 instead of being truncated. Nothing is cached between calls unless the caller
 passes its own table: `steps` for the LR strip-DP transitions, `h` for
@@ -123,64 +123,62 @@ class SchurExpansion:
         return [{"weight": list(k), "coeff": c} for k, c in self.items()]
 
 
-def _strip_extensions(shape, size, prev_cum, rank):
-    """Row-count vectors for adding a horizontal strip of one letter.
+def _strip_extensions(shape, prev_cum, size, rank):
+    """(new shape, cumulative row counts) for each way to add a horizontal strip of
+    `size` > 0 boxes of one letter to `shape` within `rank` > 0 rows, by descending
+    row-count vector.
 
     `prev_cum[j]` is the running total of the previous letter through row j+1;
     the lattice-word condition for the new letter is cum(row j) <= prev letter
     cum(row j-1), which together with the strip caps characterises LR fillings.
+    One pass builds each pair; rows below the strip keep cumulative count `size`.
     """
-    max_rows = len(shape) + 1
-    if rank is not None:
-        max_rows = min(max_rows, rank)
-    counts, ext = [0] * max_rows, shape + (0,)
-    results = []
+    rows = len(shape) + 1 if rank is None else min(len(shape) + 1, rank)
+    ext, out = shape + (0,), []
 
-    def rec(row, remaining, placed):
-        if remaining == 0:
-            results.append(tuple(counts))
-            return
-        if row >= max_rows:
-            return
+    def rec(row, left, head, cum):
+        placed = size - left
         if row == 0:
-            cap = remaining if prev_cum is None else 0
+            cap = left if prev_cum is None else 0
         else:
             cap = ext[row - 1] - ext[row]
-            if prev_cum is not None:
-                cap = min(cap, prev_cum[row - 1] - placed)
-        for n in range(min(cap, remaining), -1, -1):
-            counts[row] = n
-            rec(row + 1, remaining - n, placed + n)
-        counts[row] = 0
+            if prev_cum is not None and prev_cum[row - 1] - placed < cap:
+                cap = prev_cum[row - 1] - placed
+        if cap >= left:  # the strip can end in this row
+            tail = shape[row + 1:]
+            out.append((head + (ext[row] + left,) + tail, cum + (size,) * (len(tail) + 1)))
+            cap = left - 1
+        if row + 1 < rows:
+            for n in range(cap, -1, -1):
+                rec(row + 1, left - n, head + (ext[row] + n,), cum + (placed + n,))
 
-    rec(0, size, 0)
-    return results
-
-
-def _bump(shape, counts):
-    """`shape` with counts[i] boxes added to row i; counts covers every row."""
-    return _strip(tuple(p + c for p, c in zip(_pad(shape, len(counts)), counts)))
+    rec(0, size, (), ())
+    return out
 
 
 def _add_column(shape, k, rank):
     """Pieri rule for s_shape * e_k: every way to add a vertical strip of k
-    boxes, at most one per row, within `rank` rows. It only compares
+    boxes, at most one per row, within `rank` rows. The strip grows the first
+    g rows of each run of equal entries, so it is one g per run, each taken in
+    descending order, and each key joins per-run pieces. It only compares
     entries, so `shape` may be any weakly decreasing weight of length `rank`."""
     rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
     ext = shape + (0,) * (rows - len(shape))
-    out, grown = {}, []
+    if k == 0 or k > rows:
+        return {_strip(ext): 1} if k == 0 else {}
+    ends = [i for i in range(1, rows) if ext[i] != ext[i - 1]] + [rows]
+    out = {}
 
-    def rec(i, left, above):
-        if left == 0:
-            out[_strip(tuple(grown) + ext[i:])] = 1
-        elif rows - i >= left:
-            for part in (ext[i] + 1, ext[i]):
-                if part <= above:
-                    grown.append(part)
-                    rec(i + 1, left - (part > ext[i]), part)
-                    grown.pop()
+    def rec(j, a, left, head):  # run j is ext[a:ends[j]]; `head` is the rows above it, grown
+        b, up = ends[j], (ext[a] + 1,)
+        for g in range(min(b - a, left), max(left - rows + b, 0) - 1, -1):
+            if g == left:  # the strip ends in this run
+                key = head + up * g + ext[a + g:]
+                out[key if key[-1] else _strip(key)] = 1
+            else:
+                rec(j + 1, b, left - g, head + up * g + ext[a + g:b])
 
-    rec(0, k, ext[0] + 1 if rows else 0)
+    rec(0, 0, k, ())
     return out
 
 
@@ -189,8 +187,8 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
 
     Keys with more than `rank` rows are truncated away (they vanish in rank
     variables). Commutative; the smaller diagram is used as the filling.
-    `steps`, a dict the caller owns, keeps each DP state's successors under
-    (state, letter size, rank) across products.
+    `steps`, a dict the caller owns, keeps each DP state's successors, made in one
+    `_strip_extensions` pass, under (state, letter size, rank) across products.
     """
     a = a if isinstance(a, Partition) else Partition(tuple(a))
     b = b if isinstance(b, Partition) else Partition(tuple(b))
@@ -207,11 +205,7 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
             key = (state, letter_size, rank)
             successors = steps.get(key)
             if successors is None:
-                shape, prev_cum = state
-                successors = steps[key] = []
-                for counts in _strip_extensions(shape, letter_size, prev_cum, rank):
-                    new_shape = _bump(shape, counts)
-                    successors.append((new_shape, tuple(accumulate(counts[: len(new_shape)]))))
+                successors = steps[key] = _strip_extensions(*state, letter_size, rank)
             for nxt in successors:
                 new_states[nxt] = new_states.get(nxt, 0) + mult
         states = new_states

@@ -307,14 +307,20 @@ def _wedge_v_character(ctx: Context, s: int) -> SchurExpansion:
 
 
 def _euler_failures(ctx: Context, bases):
-    q0, wedges = (0,) * (ctx.d - ctx.r), {}  # one wedge character per s; one sum per base
+    """Bases whose staircase leaves a residual. One wedge character per s, and one Euler
+    character per diagram passed, keyed by its padded parts, serve every base."""
+    q0, wedges, chis = (0,) * (ctx.d - ctx.r), {}, {}
+
+    def chi_of(diagram):
+        w = diagram.pad(ctx.r)
+        return chis.get(w) or chis.setdefault(w, euler_character(ctx, HomogeneousWeight(w, q0)))
+
     for base in bases:
         steps = staircase_diagrams(ctx, base).steps
-        total = dict(euler_character(ctx, HomogeneousWeight(base.pad(ctx.r), q0)).terms)
+        total = dict(chi_of(base).terms)
         for n, st in enumerate(steps, 1):
             wedge = wedges.get(st.s) or wedges.setdefault(st.s, _wedge_v_character(ctx, st.s))
-            chi = euler_character(ctx, HomogeneousWeight(st.delta.pad(ctx.r), q0))
-            for k, c in chi.multiply(wedge).terms.items():
+            for k, c in chi_of(st.delta).multiply(wedge).terms.items():
                 total[k] = total.get(k, 0) + (-1) ** n * c
         residual = [[list(k), c] for k, c in sorted(total.items()) if c]
         if residual:

@@ -15,17 +15,28 @@ def _functions(path):
     return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
 
-def test_only_tensor_gl_calls_the_pieri_rule():
-    # lr_multiply has no column branch: a column product outside tensor_gl goes
-    # through the strip DP, so the Pieri rule has one caller
-    callers = sorted(
+def _callers(name):
+    return sorted(
         f"{path.name}:{fn.name}"
         for path in PACKAGE.rglob("*.py")
         for fn in _functions(path)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and _called_name(node) == "_add_column"
+        if isinstance(node, ast.Call) and _called_name(node) == name
     )
-    assert callers == ["symfunc.py:tensor_gl"]
+
+
+def test_only_tensor_gl_calls_the_pieri_rule():
+    # lr_multiply has no column branch: a column product outside tensor_gl goes
+    # through the strip DP, so the Pieri rule has one caller
+    assert _callers("_add_column") == ["symfunc.py:tensor_gl"]
+
+
+def test_only_lr_multiply_calls_the_strip_successors():
+    # one kernel builds each successor (shape, cumulative counts) whole: no
+    # separate count-vector bump, so the successor rule has one home too
+    assert _callers("_strip_extensions") == ["symfunc.py:lr_multiply"]
+    names = {fn.name for path in PACKAGE.rglob("*.py") for fn in _functions(path)}
+    assert "_strip_extensions" in names and "_bump" not in names
 
 
 def test_symfunc_keeps_no_class_memo():

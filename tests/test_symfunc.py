@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import (
+    accumulate, combinations, combinations_with_replacement, permutations, product
+)
 from math import prod
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import schurwin.bott as bott
 import schurwin.symfunc as symfunc
-from schurwin.partitions import Partition, ShapeError, box_partitions, dual_weight
+from schurwin.partitions import (
+    Context, Partition, ShapeError, _strip, box_partitions, dual_weight
+)
 from schurwin.symfunc import (
     SchurExpansion,
     dimension_gl,
@@ -796,3 +800,148 @@ def test_lr_multiply_without_a_table_leaves_no_state(monkeypatch):
     lr_multiply((4, 3, 1), (3, 2, 2), 4, steps)
     assert calls[0] == 0  # every transition of the repeat comes from the table
     assert lr_multiply.__defaults__ == (None, None)
+
+
+# ---------------------------------------------------------------------------
+# the strip kernels against the row-by-row recursions they replaced
+
+
+def _pieri_by_rows(shape, k, rank):
+    """Reference order: grow or keep one row at a time, growing first."""
+    rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
+    ext = shape + (0,) * (rows - len(shape))
+    out, grown = {}, []
+
+    def rec(i, left, above):
+        if left == 0:
+            out[_strip(tuple(grown) + ext[i:])] = 1
+        elif rows - i >= left:
+            for part in (ext[i] + 1, ext[i]):
+                if part <= above:
+                    grown.append(part)
+                    rec(i + 1, left - (part > ext[i]), part)
+                    grown.pop()
+
+    rec(0, k, ext[0] + 1 if rows else 0)
+    return out
+
+
+def _pieri_brute(shape, k, rank):
+    """Every 0/1 vector with k ones whose sum with the shape stays weakly
+    decreasing, on the first `rank` rows."""
+    rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
+    ext = shape + (0,) * (rows - len(shape))
+    out = {}
+    for grown in combinations(range(rows), k):
+        new = [x + (i in grown) for i, x in enumerate(ext)]
+        if all(x >= y for x, y in zip(new, new[1:])):
+            out[_strip(tuple(new))] = 1
+    return out
+
+
+def _pieri_cases():
+    for rank in range(7):  # weakly decreasing weights of length rank, negative entries too
+        top = 2 if rank <= 4 else 1
+        for w in combinations_with_replacement(range(top, -3, -1), rank):
+            for k in range(rank + 2):
+                yield w, k, rank
+    for p in box_partitions(4, 4):  # partitions in infinitely many variables
+        for k in range(6):
+            yield p.parts, k, None
+
+
+def test_pieri_runs_match_brute_force_and_row_order():
+    seen = set()
+    for shape, k, rank in _pieri_cases():
+        got = symfunc._add_column(shape, k, rank)
+        assert got == _pieri_brute(shape, k, rank), (shape, k, rank)
+        assert list(got) == list(_pieri_by_rows(shape, k, rank)), (shape, k, rank)
+        rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
+        seen.add((rank, k == 0, k > rows, bool(got), bool(shape) and shape[-1] < 0))
+    assert {(0, True, False, True, False), (0, False, True, False, False)} <= seen
+    assert any(r is None for r, *_ in seen)
+    assert any(neg and got and not zero for _, zero, _, got, neg in seen)
+
+
+def _strip_counts(shape, prev_cum, size, rank):
+    """Reference: row-count vectors of one letter's strip, one row at a time."""
+    max_rows = len(shape) + 1
+    if rank is not None:
+        max_rows = min(max_rows, rank)
+    counts, ext = [0] * max_rows, shape + (0,)
+    results = []
+
+    def rec(row, remaining, placed):
+        if remaining == 0:
+            results.append(tuple(counts))
+            return
+        if row >= max_rows:
+            return
+        if row == 0:
+            cap = remaining if prev_cum is None else 0
+        else:
+            cap = ext[row - 1] - ext[row]
+            if prev_cum is not None:
+                cap = min(cap, prev_cum[row - 1] - placed)
+        for n in range(min(cap, remaining), -1, -1):
+            counts[row] = n
+            rec(row + 1, remaining - n, placed + n)
+        counts[row] = 0
+
+    rec(0, size, 0)
+    return results
+
+
+def _successors_by_counts(shape, prev_cum, size, rank):
+    """Reference successors: each count vector bumped onto the shape, then accumulated."""
+    out = []
+    for counts in _strip_counts(shape, prev_cum, size, rank):
+        padded = shape + (0,) * (len(counts) - len(shape))
+        new = _strip(tuple(p + c for p, c in zip(padded, counts)))
+        out.append((new, tuple(accumulate(counts[: len(new)]))))
+    return out
+
+
+def test_strip_successors_match_the_count_vectors():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(3000):
+        rank = rng.choice([None, 1, 2, 3, 4, 5, 6])
+        length = rng.randrange((6 if rank is None else rank) + 1)
+        shape = tuple(sorted((rng.randint(1, 5) for _ in range(length)), reverse=True))
+        size = rng.randint(1, 6)
+        prev_cum = None
+        if rng.random() < 0.6:
+            prev_cum = tuple(accumulate(rng.randint(0, 2) for _ in range(length)))
+        state = (shape, prev_cum, size, rank)
+        assert symfunc._strip_extensions(*state) == _successors_by_counts(*state), state
+        seen.add((rank, prev_cum is None, bool(_successors_by_counts(*state))))
+    # at one row a later letter has nowhere to go: row 0 is the previous letter's
+    assert {(r, p, True) for r in (None, 1, 2, 3, 4, 5, 6) for p in (True, False)} - seen == {
+        (1, False, True)
+    }
+
+
+@pytest.mark.parametrize("d, r", [(6, 3), (7, 4)])
+def test_tilting_steps_tables_match_the_count_vectors(monkeypatch, d, r):
+    # the table a tilting sweep leaves, replayed through the reference successors:
+    # the same keys in the same order, each with the same successor list
+    from schurwin import verify
+
+    products, tables = [], []
+    honest = bott.lr_multiply
+
+    def recorded(a, b, rank=None, steps=None):
+        products.append((a, b, rank))
+        tables.append(steps)
+        return honest(a, b, rank, steps)
+
+    monkeypatch.setattr(bott, "lr_multiply", recorded)
+    assert verify.verify_tilting(Context(d, r)).passed
+    table = tables[0]
+    assert products and table and all(t is table for t in tables)
+    monkeypatch.setattr(symfunc, "_strip_extensions", _successors_by_counts)
+    reference = {}
+    for a, b, rank in products:
+        symfunc.lr_multiply(a, b, rank, reference)
+    assert list(reference.items()) == list(table.items())

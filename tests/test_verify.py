@@ -917,14 +917,29 @@ def test_tilting_reports_the_first_failing_pair_in_pair_order(monkeypatch, d, r)
             assert (expected["gamma"], expected["delta"]) == (list(gamma.parts), list(delta.parts))
 
 
-@pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3), (8, 4), (9, 4), (10, 4)])
+@pytest.mark.parametrize("d, r", [(7, 3), (7, 4), (8, 3), (8, 4), (9, 4), (9, 5), (10, 4)])
 def test_tilting_passes_larger(d, r):
     assert verify_tilting(Context(d, r)).passed
 
 
-@pytest.mark.parametrize("d, r", [(8, 4), (10, 3), (9, 4), (10, 4), (10, 5)])
+@pytest.mark.parametrize("d, r", [(8, 4), (10, 3), (9, 4), (10, 4), (10, 5), (11, 5)])
 def test_euler_passes_larger(d, r):
     assert verify_euler(Context(d, r)).passed
+
+
+def test_euler_takes_one_character_per_diagram(monkeypatch):
+    # the staircases of different bases share diagrams: at (6,3) its 15 bases
+    # make 75 Euler characters, of 35 distinct diagrams, and each is made once
+    made = []
+    honest = verify.euler_character
+
+    def counted(ctx, hw):
+        made.append(hw)
+        return honest(ctx, hw)
+
+    monkeypatch.setattr(verify, "euler_character", counted)
+    assert verify_euler(Context(6, 3)).passed
+    assert len(made) == len(set(made)) == 35
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
