@@ -121,16 +121,16 @@ def _class_key(u, v):
 
 def _lr_class(r: int, u, v, memo=None, steps=None):
     """`memo` entry (a dict the caller owns, keyed by `_class_key`) of the translation class of
-    two `_translated` length-r weights: (its LR terms at r rows as (a, mult), a_i = i - key_i
-    strictly increasing for the key padded to r, {(d, offset): Bott hits}). `steps` goes to
+    two `_translated` length-r weights: its LR terms at r rows as (a, mult), a_i = i - key_i
+    strictly increasing for the key padded to r. It depends on r alone. `steps` goes to
     `lr_multiply`."""
     pair = _class_key(u, v)
     memo = {} if memo is None else memo
     if pair not in memo:
         terms = lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms
         zeros = (0,) * r
-        memo[pair] = ([(tuple(map(sub, range(r), key + zeros[len(key):])), m)
-                       for key, m in terms.items()], {})
+        memo[pair] = [(tuple(map(sub, range(r), key + zeros[len(key):])), m)
+                      for key, m in terms.items()]
     return memo[pair]
 
 
@@ -145,27 +145,19 @@ def hom_bundle_cohomology(
     rule with zero Q^v weight is closed form: at total offset t a term lam = key - t
     has rho-shifted S entries -(a_i + t) around the Q run -r..-(d-1), so it survives
     iff k = bisect_left(a, r - t) is r or a_k + t >= d, in degree (d - r)(r - k) with
-    weight (lam_0..lam_{k-1}, (k - r)^(d-r), lam_k + d - r..lam_{r-1} + d - r). The hits
-    (degree, weight, mult) stay in the memo entry under (d, t); each call builds a fresh table.
+    weight (lam_0..lam_{k-1}, (k - r)^(d-r), lam_k + d - r..lam_{r-1} + d - r), added
+    to a fresh table.
     """
     r, d = ctx.r, ctx.d
     weights = {} if weights is None else weights
     (u, nu), (v, nv) = _box_weight(weights, gamma, r, True), _box_weight(weights, delta, r, False)
-    rows, by_offset = _lr_class(r, u, v, memo, steps)
     t = nu + nv
-    hits = by_offset.get((d, t))
-    if hits is None:
-        q, low, high = d - r, r - t, d - t
-        hits = by_offset[(d, t)] = []  # one memo may serve several d at this r
-        for a, mult in rows:
-            k = bisect_left(a, low)
-            if k == r or a[k] >= high:
-                lam = [i - x - t for i, x in enumerate(a)]
-                weight = (*lam[:k], *(k - r,) * q, *(x + q for x in lam[k:]))
-                hits.append((q * (r - k), weight, mult))
-    out = CohomologyTable()
-    for hit in hits:
-        out.add(*hit)
+    q, low, high, out = d - r, r - t, d - t, CohomologyTable()
+    for a, mult in _lr_class(r, u, v, memo, steps):
+        k = bisect_left(a, low)
+        if k == r or a[k] >= high:
+            lam = [i - x - t for i, x in enumerate(a)]
+            out.add(q * (r - k), (*lam[:k], *(k - r,) * q, *(x + q for x in lam[k:])), mult)
     return out
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, _canonical, _strip
 from .staircase import base_from_top, staircase_diagrams
-from .windows import _in_box, enumerate_window, in_window
+from .windows import MATRIX_LIMIT, _in_box, enumerate_window, in_window
 
 SKELETON_LIMIT = 10**5  # most terms one level of a `general_shift` skeleton may hold
 
@@ -276,7 +276,9 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     """K-class matrix of the window shift, composed from unit steps that share
     one memo of untwisted images (`_unit_step`): the caller's `memo`, if given.
     Each level indexes its target basis by untwisted label, so `k_class` reads
-    the shared images as they are."""
+    the shared images as they are. Past MATRIX_LIMIT generators: ShapeError, before any image."""
+    if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
+        raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
     if from_k == to_k:
         return KMatrix(ctx, from_k, to_k, _identity_rows(len(enumerate_window(ctx, from_k))))
     step, current, entries = -1 if to_k < from_k else 1, from_k, None

@@ -9,8 +9,7 @@ as given (any other point is cleared to b / q first, and a float coordinate rais
 TypeError); it stays well defined at repeated coordinates, with no bialternant ratio.
 Coefficients and scalars are integers: a float or Fraction raises TypeError
 instead of being truncated. Nothing is cached between calls unless the caller
-passes its own table: `steps` for the LR strip-DP transitions, `h` for
-`_h_table` at a point of ints.
+passes its own `steps` table of LR strip-DP transitions.
 """
 
 from __future__ import annotations
@@ -268,7 +267,7 @@ def _h_table(xs, top: int) -> tuple[int, ...]:
     return hs
 
 
-def schur_at(w, point, h=None) -> int | Fraction:
+def schur_at(w, point) -> int | Fraction:
     """Evaluate the Schur function of a dominant weight at an exact point.
 
     A point not all ints is cleared to b / q over the integers (a float
@@ -277,8 +276,7 @@ def schur_at(w, point, h=None) -> int | Fraction:
     rule (`_dotted_weyl`) with its sign, or is 0 on a repeated entry;
     negative weights factor through a power of b_1*...*b_n (all nonzero); a
     partition is the Jacobi-Trudi determinant det h_{lam_i - i + j}(b) over the
-    integers, safe at repeated coordinates: an int at a point of ints. A table
-    `h` = `_h_table(b, m)` serves every branch; needing h_(m+1) raises ShapeError.
+    integers from its own `_h_table` of b, safe at repeated coordinates: an int.
     """
     xs = tuple(point)
     w = _strip(check_weight(w))
@@ -295,16 +293,14 @@ def schur_at(w, point, h=None) -> int | Fraction:
         hit = _dotted_weyl(w, (0,) * (n - len(w)))
         if hit is None:
             return 0
-        return (-1) ** hit[0] * schur_at(hit[1], xs, h)
+        return (-1) ** hit[0] * schur_at(hit[1], xs)
     shift = min(full[-1], 0)
     if shift:
         if 0 in xs:
             raise ZeroDivisionError("negative weight evaluated at a zero coordinate")
-        return Fraction(prod(xs)) ** shift * schur_at(tuple(x - shift for x in full), xs, h)
-    ell, top = len(w), w[0] + len(w) - 1  # w is a partition here
-    h = _h_table(xs, top) if h is None else h
-    if len(h) <= top:
-        raise ShapeError(f"{list(w)} needs h_{top}; the h-table has {len(h)} entries")
+        return Fraction(prod(xs)) ** shift * schur_at(tuple(x - shift for x in full), xs)
+    ell = len(w)  # w is a partition here
+    h = _h_table(xs, w[0] + ell - 1)
     mat = [[h[p + j - i] if p + j >= i else 0 for j in range(ell)] for i, p in enumerate(w)]
     return _bareiss(mat)
 

@@ -146,9 +146,9 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     with one x inserted at place p, so its Jacobi-Trudi determinant is
     (-1)^(r - 1 - p) det of the rows (h_(a + j))_j over (h_(x + j))_j, h_m = 0
     for m < 0. That is linear in the last row: the terms whose own rows match
-    sum exactly into one `_bareiss` over one combined row. Any other term,
-    such as a corrupted one, is its own `schur_at(mu, b, h)`. A zero sum is a
-    necessary condition for exactness only. `memo`, a dict the caller owns,
+    sum exactly into one `_bareiss` over one combined row. Any other term, such as a
+    corrupted one, is its own `schur_at(mu, b)`, which builds its own h-table. A zero
+    sum is a necessary condition for exactness only. `memo`, a dict the caller owns,
     is bound to `points`: at index p it keeps (the point, {s: e_s(t)},
     {fixed subset: (b, q, h)}), h = `_h_table(b, m)`, m = max mu_1 + r - 1
     over its diagrams so far, the last index a row reads; another point at
@@ -181,7 +181,7 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
             total, weights, segments = 0, [], []
             for mu, size, c, hit in zip(diagrams, sizes, coeffs, over):
                 if hit is None:
-                    total += c * schur_at(mu, b, h) * q ** (top_m - size)
+                    total += c * schur_at(mu, b) * q ** (top_m - size)
                 else:
                     weights.append(c * q ** (top_m - size))
                     segments.append(hz[hit[0] + r - 1 : hit[0] + 2 * r - 1])
@@ -419,7 +419,7 @@ def _relation_failures(mats, dets, ks):
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: the identity shift, unimodularity,
     composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
-    and det-conjugation. Stops at the first failure.
+    and det-conjugation. Stops at the first failure; past MATRIX_LIMIT, `k_matrix` raises first.
 
     Each unit step U is built once per direction and M_kl is their left fold.
     det M_kl is the product of the exact det U on its way: each U peels to nothing.

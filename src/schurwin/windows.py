@@ -8,6 +8,7 @@ from math import comb
 from .partitions import Context, GeneratorLabel, ShapeError, _label, box_partitions
 
 WINDOW_LIMIT = 10**6  # most generators `enumerate_window` may list
+MATRIX_LIMIT = 2000  # most generators a window may have in a dense K-matrix (n^2 entries)
 
 
 def enumerate_window(ctx: Context, k: int) -> list[GeneratorLabel]:

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,7 +12,9 @@ from schurwin.bott import (
     hom_bundle_cohomology,
     serre_dual,
 )
-from schurwin.partitions import Context, Partition, ShapeError, box_partitions, dual_weight
+from schurwin.partitions import (
+    Context, Partition, ShapeError, _strip, box_partitions, dual_weight
+)
 from schurwin.symfunc import dimension_gl, lr_multiply
 from schurwin.verify import verify_tilting
 
@@ -209,22 +210,21 @@ def test_hom_bundle_shared_memo_matches_fresh_calls():
 
 def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     # Hom(S^v(gamma), S^v(delta)) depends only on the translated, sorted weight
-    # pair and the total offset: each LR term of each such key is tested once,
-    # not once per term of every box pair. The Hom path reads each survivor's
-    # hit off its bisect position, with no dotted Weyl action, and the hits it
-    # keeps per key are the dotted Weyl action's
+    # pair and the total offset. One call per such key, as verify_tilting makes
+    # them, tests each LR term of the key once, not once per term of every box
+    # pair. The Hom path reads each survivor off its bisect position, with no
+    # dotted Weyl action, and each key's table is the dotted Weyl action's
     ctx = Context(6, 3)
     shapes = box_partitions(ctx.r, ctx.d - ctx.r)
-    terms, keys, per_pair, lr_terms = {}, set(), 0, {}
+    first, per_pair, lr_terms = {}, 0, {}
     for gamma, delta in product(shapes, repeat=2):
         u, v = dual_weight(gamma.pad(ctx.r)), delta.pad(ctx.r)
         pair = tuple(sorted((tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v))))
-        if pair not in terms:
+        if pair not in lr_terms:
             lr_terms[pair] = lr_multiply(pair[0], pair[1], rank=ctx.r).terms
-            terms[pair] = len(lr_terms[pair])
-        keys.add((pair, -u[-1] - v[-1]))
-        per_pair += terms[pair]
-    assert (len(shapes) ** 2, len(terms), len(keys)) == (400, 55, 165)
+        first.setdefault((pair, -u[-1] - v[-1]), (gamma, delta))
+        per_pair += len(lr_terms[pair])
+    assert (len(shapes) ** 2, len(lr_terms), len(first)) == (400, 55, 165)
     calls, tests = [0], [0]
     honest = bott._dotted_weyl
     honest_bisect = bott.bisect_left
@@ -240,29 +240,38 @@ def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
     monkeypatch.setattr(bott, "_dotted_weyl", counted)
     monkeypatch.setattr(bott, "bisect_left", counted_bisect)
     memo = {}
-    for gamma, delta in product(shapes, repeat=2):
-        hom_bundle_cohomology(ctx, gamma, delta, memo)
+    tables = {key: hom_bundle_cohomology(ctx, *gd, memo) for key, gd in first.items()}
+    assert sum(len(lr_terms[pair]) for pair, _ in first) == 426 < per_pair
+    assert calls[0] == 0 and tests[0] == 426 and len(memo) == 55
     tail = (0,) * (ctx.d - ctx.r)
-    lams = [
-        tuple(x - total for x in key + (0,) * (ctx.r - len(key)))
-        for pair, total in keys
-        for key in lr_terms[pair]
-    ]
-    survivors = Counter((lam, tail) for lam in lams if honest(lam, tail) is not None)
-    assert sum(terms[pair] for pair, _ in keys) == len(lams) == 426 < per_pair
-    assert calls[0] == 0 and tests[0] == 426
-    assert sum(len(by_offset) for _, by_offset in memo.values()) == 165
-    stored = Counter()
-    for pair, total in keys:
-        hits = memo[pair][1][(ctx.d, total)]
-        stored.update((deg, w) for deg, w, _ in hits)
-        expected = {}
+    for (pair, total), table in tables.items():
+        expected = CohomologyTable()
         for key, mult in lr_terms[pair].items():
             hit = honest(tuple(x - total for x in key + (0,) * (ctx.r - len(key))), tail)
             if hit is not None:
-                expected[hit] = mult
-        assert {(deg, w): m for deg, w, m in hits} == expected
-    assert stored == Counter(honest(*args) for args in survivors.elements())
+                expected.add(*hit, mult)
+        assert table == expected, (pair, total)
+
+
+@pytest.mark.parametrize("d, r", [(6, 3), (7, 3)])
+def test_hom_bundle_memo_keeps_only_the_lr_rows(d, r):
+    # a per-pair sweep through one memo: each table is a fresh call's, and each
+    # memo value is the class's row list [(a, mult), ...], a_i = i - key_i
+    # strictly increasing, with nothing per offset or per d beside it
+    ctx = Context(d, r)
+    shapes = box_partitions(r, d - r)
+    memo = {}
+    for gamma, delta in product(shapes, repeat=2):
+        assert hom_bundle_cohomology(ctx, gamma, delta, memo) == hom_bundle_cohomology(
+            ctx, gamma, delta
+        ), (gamma, delta)
+    for (u, v), rows in memo.items():
+        assert type(rows) is list, (u, v)
+        keys = {}
+        for a, mult in rows:
+            assert len(a) == r and all(x < y for x, y in zip(a, a[1:])), a
+            keys[_strip(tuple(i - x for i, x in enumerate(a)))] = mult
+        assert keys == lr_multiply(u, v, rank=r).terms, (u, v)
 
 
 def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
@@ -271,8 +280,8 @@ def test_zero_q_vanish_rule_matches_dotted_weyl(monkeypatch):
     # the dotted Weyl action's verdict, degree and weight
     rng = random.Random(20)
     term = {}
-    monkeypatch.setattr(bott, "_lr_class", lambda *args: (
-        [(tuple(i - x for i, x in enumerate(k)), m) for k, m in term.items()], {}))
+    monkeypatch.setattr(bott, "_lr_class", lambda *args: [
+        (tuple(i - x for i, x in enumerate(k)), m) for k, m in term.items()])
     seen = set()
     for _ in range(20000):
         d = rng.randint(1, 10)

@@ -163,6 +163,28 @@ def test_shift_past_the_skeleton_limit_exits_2(capsys):
     assert f"over SKELETON_LIMIT={SKELETON_LIMIT:,} terms" in err
 
 
+def test_matrix_and_relations_past_the_matrix_limit_exit_2(capsys, monkeypatch):
+    from math import comb
+
+    from schurwin import shifts
+    from schurwin.windows import MATRIX_LIMIT
+
+    # relations at (13,6), 1,716 generators, still run; (16,8) has 12,870 and
+    # (20,10) 184,756, each n^2 dense entries a level
+    assert comb(13, 6) <= MATRIX_LIMIT < comb(16, 8)
+    steps = []
+    monkeypatch.setattr(shifts, "_unit_step", lambda *args, **kw: steps.append(args))
+    for argv in (("matrix", "--d", "16", "--r", "8", "--from", "1", "--to", "0"),
+                 ("matrix", "--d", "20", "--r", "10", "--from", "1", "--to", "0"),
+                 ("verify", "relations", "--d", "16", "--r", "8")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert f"over MATRIX_LIMIT={MATRIX_LIMIT:,}" in err
+    assert steps == []
+
+
 def test_tilting_and_euler_past_the_sweep_limit_exit_2(capsys):
     from math import comb
 

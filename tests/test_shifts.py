@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -158,6 +159,34 @@ def test_k_matrix_identity_case():
         rows = list(mat.entries)
         rows[-1] = rows[-1][:-1] + (2,)
         assert not mat._replace(entries=tuple(rows)).is_identity()
+
+
+# sha256 of repr(entries) of the (8,4) K-matrices, the benchmark's largest cell, before
+# the dense-matrix limit came in
+KMATRIX_DIGESTS_D8_R4 = {
+    (1, 0): "ac492cde6649da33", (0, 1): "e0e130de61bc0909", (2, -2): "68808c20fd3b973c",
+    (-2, 2): "cce14acaddbbfbc9", (0, 0): "f2c53af4c77c3130",
+}
+
+
+def test_k_matrix_limit_is_on_the_generator_count(monkeypatch):
+    # (8,4) has 70 generators: its K-matrices are unchanged under the real limit
+    # and at MATRIX_LIMIT = 70, and at 69 each refuses before any unit-step image
+    ctx = Context(8, 4)
+    for limit in (shifts.MATRIX_LIMIT, 70):
+        monkeypatch.setattr(shifts, "MATRIX_LIMIT", limit)
+        for (k, l), digest in KMATRIX_DIGESTS_D8_R4.items():
+            entries = k_matrix(ctx, k, l).entries
+            assert hashlib.sha256(repr(entries).encode()).hexdigest()[:16] == digest, (k, l)
+    monkeypatch.setattr(shifts, "MATRIX_LIMIT", 69)
+    steps = []
+    monkeypatch.setattr(shifts, "_unit_step", lambda *args, **kw: steps.append(args))
+    for k, l in KMATRIX_DIGESTS_D8_R4:
+        with pytest.raises(ShapeError, match="a K-matrix on 70 generators, over MATRIX_LIMIT=69"):
+            k_matrix(ctx, k, l)
+    with pytest.raises(ShapeError, match="over MATRIX_LIMIT=69"):
+        verify_relations(ctx)
+    assert steps == []
 
 
 def test_k_matrix_round_trips_exhaustive():

@@ -459,47 +459,29 @@ def test_schur_at_integer_point_matches_fraction_point():
     assert min(seen.values()) >= 20, seen
 
 
-def test_schur_at_with_h_table_matches_without(monkeypatch):
-    # a caller's table h_0..h_m of a point of ints serves every branch (Bott
-    # straightening and the det-power shift too, which build none of their
-    # own): the same value, or the same ZeroDivisionError, as schur_at
-    # building its own. A table too short for the partition finally evaluated
-    # raises ShapeError and never gives a value
+def test_schur_at_builds_one_h_table_per_value(monkeypatch):
+    # every branch (Bott straightening and the det-power shift too) ends in at
+    # most one Jacobi-Trudi determinant, whose table schur_at builds itself at
+    # the point of ints, exactly as long as that partition needs
     built, h_table = [], symfunc._h_table
-    monkeypatch.setattr(symfunc, "_h_table", lambda b, top: built.append(b) or h_table(b, top))
+    monkeypatch.setattr(symfunc, "_h_table", lambda b, m: built.append((b, m)) or h_table(b, m))
     rng = random.Random(18)
-    seen = {"partition": 0, "negative": 0, "straightened": 0, "zero division": 0, "short": 0}
+    seen = {"partition": 0, "negative": 0, "straightened": 0, "zero division": 0}
     for _ in range(1200):
         n = rng.randint(0, 6)
         b = tuple(rng.randint(-4, 4) for _ in range(n))  # repeats and zeros
         w = _random_weight(rng, n)
-        h = h_table(b, 8 + 3 * n)  # past any partition w can lead to
-        assert type(h) is tuple and {type(x) for x in h} <= {int}
-        hash((w, b, h))
+        built.clear()
         try:
-            value = schur_at(w, b)
+            schur_at(w, b)
         except ZeroDivisionError:
             seen["zero division"] += 1
-            with pytest.raises(ZeroDivisionError):
-                schur_at(w, b, h)
             continue
-        built.clear()
-        assert schur_at(w, b, h) == value, (w, b)
-        served = False  # once a prefix of h serves, every longer one does
-        for m in range(len(h) + 1):
-            try:
-                assert schur_at(w, b, h[:m]) == value, (w, b, m)
-                served = True
-            except ShapeError:
-                assert not served, (w, b, m)
-                seen["short"] += 1
-        assert built == [], (w, b)
+        assert len(built) <= 1 and all(xs == b for xs, _ in built), (w, b, built)
         lam = tuple(x for x in w if x)  # w without its trailing zeros
         if lam and lam[-1] > 0 and len(lam) <= n:
             seen["partition"] += 1
-            with pytest.raises(ShapeError, match="h-table"):
-                schur_at(w, b, h[: lam[0] + len(lam) - 1])
-            assert schur_at(w, b, h[: lam[0] + len(lam)]) == value
+            assert built == [(b, lam[0] + len(lam) - 1)], (w, b)
         elif lam and lam[-1] < 0:
             seen["negative"] += 1
             seen["straightened"] += len(w) < n
@@ -628,7 +610,7 @@ def test_tensor_gl_memo_and_translation_independent():
         if rng.random() < 0.3:  # last entries positive: the old translation was 0
             u = tuple(x + 6 for x in u)
         plain = tensor_gl(r, u, v)
-        rows = bott._lr_class(r, *_class_of(u, v), memo)[0]
+        rows = bott._lr_class(r, *_class_of(u, v), memo)
         terms = {tuple(i - x for i, x in enumerate(a)): c for a, c in rows}
         assert _untranslated(terms, r, -u[-1] - v[-1]) == plain.terms
         size = len(memo)
@@ -640,7 +622,7 @@ def test_tensor_gl_memo_and_translation_independent():
         )
         assert tensor_gl(r, u, tuple(x + c for x in v)) == shifted
         for a, b in ((v, u), (tuple(x - 2 for x in u), v), (u, tuple(x + c for x in v))):
-            assert bott._lr_class(r, *_class_of(a, b), memo)[0] is rows
+            assert bott._lr_class(r, *_class_of(a, b), memo) is rows
         assert len(memo) == size
 
 

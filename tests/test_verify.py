@@ -571,7 +571,7 @@ def test_localization_evaluates_each_value_once(monkeypatch):
     assert calls["schur_at"] == []
     assert sorted(calls["elementary_at"]) == sorted(wedges)
     # a corrupted staircase: schur_at exactly for the terms not over the
-    # base, one per (point, subset) visited, at an integer point and table
+    # base, one per (point, subset) visited, each at its integer point
     rng = random.Random(7)
     seen = 0
     for _ in range(40):
@@ -588,8 +588,8 @@ def test_localization_evaluates_each_value_once(monkeypatch):
         assert [args[0] for args in calls["schur_at"]] == off * visited
         for args in calls["schur_at"]:
             hash(args)
-            assert [type(a) for a in args] == [tuple, tuple, tuple]
-            assert {type(x) for x in args[0] + args[1] + args[2]} == {int}
+            assert [type(a) for a in args] == [tuple, tuple]
+            assert {type(x) for x in args[0] + args[1]} == {int}
         seen += bool(off)
     assert seen >= 10
     assert sorted(calls["elementary_at"]) == sorted(set(calls["elementary_at"]))
@@ -597,7 +597,7 @@ def test_localization_evaluates_each_value_once(monkeypatch):
 
 def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
     # one memo over every base of (6,3): one h-table per (point, fixed
-    # subset), built by verify, and schur_at never builds its own
+    # subset), built by verify; a real staircase makes no schur_at call
     ctx = Context(6, 3)
     rng = random.Random(6)
     points = [sample_point(rng, 6) for _ in range(3)]
