@@ -14,13 +14,15 @@ The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `shift_*_generator` are `general_shift` over one step; `k_matrix` shares their untwisted images
 in one memo. `general_shift` keys its nodes on raw (parts, det) tuples, reads each image from
 staircase rows (`_image_rows`) once per call (none for a label in both windows) and labels only
-its result. K-matrix products skip zeros. An image checks only the caller's generator; its
+its result. K-matrix products find nonzeros with `itertools.compress` and refuse a ragged
+factor; `k_matrix(k, k)` lists no window. An image checks only the caller's generator; its
 staircase rows and labels are trusted.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from math import comb
 from typing import NamedTuple
 
@@ -177,10 +179,9 @@ def k_class(ctx: Context, tc: TermComplex, basis: list[GeneratorLabel], index=No
     index = {g: i for i, g in enumerate(basis)} if index is None else index
     vec = [0] * len(basis)
     for t in tc.terms:
-        if t.label not in index:
+        if (i := index.get(t.label)) is None:
             raise ShapeError(f"term {t.label} lies outside the target basis")
-        sign = -1 if t.degree % 2 else 1
-        vec[index[t.label]] += sign * t.copies * comb(ctx.d, t.ext_power)
+        vec[i] += (-1 if t.degree % 2 else 1) * t.copies * comb(ctx.d, t.ext_power)
     return tuple(vec)
 
 
@@ -222,19 +223,20 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    """Product of dense integer row tuples that skips zeros: each nonzero
-    a[i][k] adds a[i][k] * (nonzeros of row k of b) into output row i."""
+    """Product of dense integer row tuples; a ragged factor: ShapeError. Each nonzero a[i][k],
+    found by `itertools.compress`, adds a[i][k] * (compressed row k of b) into output row i."""
     mid, m = len(b), len(b[0]) if b else 0
     if not all(len(row) == mid for row in a):
         raise ShapeError(f"left factor has a row whose length is not {mid}")
-    sparse_b = [[(j, v) for j, v in enumerate(row) if v] for row in b]
+    if not all(len(row) == m for row in b):
+        raise ShapeError(f"right factor has a row whose length is not {m}")
+    sparse_b = [tuple(zip(compress(range(m), row), compress(row, row))) for row in b]
     out = []
     for row in a:
         acc = [0] * m
-        for x, b_row in zip(row, sparse_b):
-            if x:
-                for j, v in b_row:
-                    acc[j] += x * v
+        for x, b_row in compress(zip(row, sparse_b), row):
+            for j, v in b_row:
+                acc[j] += x * v
         out.append(tuple(acc))
     return tuple(out)
 
@@ -247,7 +249,7 @@ def int_determinant(rows) -> int:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeError(f"not a square matrix: rows of lengths {[len(row) for row in a]}")
-    live = [{j for j, x in enumerate(row) if x} for row in a]  # nonzero columns not peeled
+    live = [set(compress(range(n), row)) for row in a]  # nonzero columns not peeled
     rows_at: list[list[int]] = [[] for _ in a]  # column -> the rows with a nonzero there
     for i, cols in enumerate(live):
         for j in cols:
@@ -273,14 +275,14 @@ def int_determinant(rows) -> int:
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
-    """K-class matrix of the window shift, composed from unit steps that share
-    one memo of untwisted images (`_unit_step`): the caller's `memo`, if given.
-    Each level indexes its target basis by untwisted label, so `k_class` reads
-    the shared images as they are. Past MATRIX_LIMIT generators: ShapeError, before any image."""
+    """K-class matrix of the window shift, composed from unit steps that share one memo of
+    untwisted images (`_unit_step`): the caller's `memo`, if given. Each level indexes its target
+    basis by untwisted label, so `k_class` reads the shared images as they are. Past MATRIX_LIMIT
+    generators: ShapeError, before any image; k -> k is the C(d, r) identity, with no W_k listed."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
     if from_k == to_k:
-        return KMatrix(ctx, from_k, to_k, _identity_rows(len(enumerate_window(ctx, from_k))))
+        return KMatrix(ctx, from_k, to_k, _identity_rows(n))
     step, current, entries = -1 if to_k < from_k else 1, from_k, None
     b_from = enumerate_window(ctx, from_k)
     memo = {} if memo is None else memo

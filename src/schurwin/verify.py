@@ -394,21 +394,23 @@ def _relation_failures(mats, dets, ks):
     unit steps, so with every M_kk the identity, M_kl @ M_lm = M_km for l
     between k and m. For l beyond a = max(k, m) (or below a = min(k, m)) it
     reads M_ka @ (M_al @ M_la) @ M_am = M_ka @ M_am, which, with every M
-    unimodular, holds iff the round trip M_al @ M_la is the identity."""
+    unimodular, holds iff the round trip M_al @ M_la is the identity. Square
+    integer matrices have AB = I iff BA = I (det A det B = 1, so B is A's
+    two-sided inverse), so one product M_lo,hi @ M_hi,lo decides both trips."""
     for k in ks:
         if not mats[(k, k)].is_identity():
             yield {"relation": "identity", "k": k}
     for k, l in mats:
         if dets[(k, l)] not in (-1, 1):
             yield {"relation": "unimodular", "k": k, "l": l, "det": dets[(k, l)]}
-    trips = {}  # (a, l) -> whether M_al @ M_la is the identity
+    trips = {}  # (lo, hi) -> whether M_lo,hi @ M_hi,lo, so M_hi,lo @ M_lo,hi, is the identity
     for k, l, m in product(ks, repeat=3):
         if min(k, m) <= l <= max(k, m):
             continue
-        a = max(k, m) if l > max(k, m) else min(k, m)
-        if (a, l) not in trips:
-            trips[(a, l)] = (mats[(a, l)] @ mats[(l, a)]).is_identity()
-        if not trips[(a, l)]:
+        pair = (max(k, m), l) if l > max(k, m) else (l, min(k, m))  # (lo, hi) = {a, l}
+        if pair not in trips:
+            trips[pair] = (mats[pair] @ mats[pair[::-1]]).is_identity()
+        if not trips[pair]:
             yield {"relation": "composition", "k": k, "l": l, "m": m}
     for k, l, shift in product(ks, repeat=3):
         if k + shift in ks and l + shift in ks:

@@ -169,6 +169,17 @@ KMATRIX_DIGESTS_D8_R4 = {
 }
 
 
+def test_identity_k_matrix_lists_no_window(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an identity K-matrix listed a window")
+
+    monkeypatch.setattr(shifts, "enumerate_window", refuse)
+    m = k_matrix(Context(8, 4), 2, 2)
+    assert len(m.entries) == 70 and m.is_identity()
+    with pytest.raises(ShapeError, match="a K-matrix on 184,756 generators, over MATRIX_LIMIT"):
+        k_matrix(Context(20, 10), 1, 1)
+
+
 def test_k_matrix_limit_is_on_the_generator_count(monkeypatch):
     # (8,4) has 70 generators: its K-matrices are unchanged under the real limit
     # and at MATRIX_LIMIT = 70, and at 69 each refuses before any unit-step image
@@ -374,6 +385,12 @@ def test_is_identity_is_false_off_square_entries():
 def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         _mat_mul(((1, 2), (3, 4)), ((1, 0, 0),))
+    # a ragged right factor: a short row is not zero-padded, a long one is no IndexError
+    for b in (((1, 2), (3,)), ((1, 2), (3, 4, 5))):
+        with pytest.raises(ShapeError, match="right factor has a row whose length is not 2"):
+            _mat_mul(((1, 1),), b)
+        with pytest.raises(ShapeError, match="right factor"):
+            KMatrix(Context(2, 1), 0, 1, ((1, 1),)) @ KMatrix(Context(2, 1), 1, 2, b)
 
 
 def naive_mat_mul(a, b):
