@@ -54,7 +54,7 @@ class Partition:
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         """Build from stripped, weakly decreasing non-negative ints, unchecked."""
         self = cls.__new__(cls)
-        object.__setattr__(self, "parts", parts)
+        cls.parts.__set__(self, parts)  # the slot's own setter, past `__setattr__`
         return self
 
     def __setattr__(self, name, value):
@@ -269,11 +269,12 @@ def _label(p: Partition, r: int, m: int) -> GeneratorLabel:
 
 
 def box_partitions(rows: int, cols: int) -> list[Partition]:
-    """All partitions in a rows x cols box, in graded lexicographic order."""
+    """All partitions in a rows x cols box, in graded lexicographic order. Each shape is drawn
+    from cols down to 0, so it is weakly decreasing and non-negative: trusted once stripped."""
     if rows < 0 or cols < 0:
         raise ShapeError("box dimensions must be non-negative")
     shapes = combinations_with_replacement(range(cols, -1, -1), rows)
-    return [Partition(s) for s in sorted(shapes, key=graded_lex_key)]
+    return [Partition._trusted(_strip(s)) for s in sorted(shapes, key=graded_lex_key)]
 
 
 def parse_int_tuple(text: str) -> tuple[int, ...]:

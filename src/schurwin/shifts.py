@@ -11,12 +11,13 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
-`shift_*_generator` are `general_shift` over one step; `k_matrix` shares their untwisted images
-in one memo. `general_shift` keys its nodes on raw (parts, det) tuples, reads each image from
-staircase rows (`_image_rows`) once per call (none for a label in both windows) and labels only
-its result. K-matrix products find nonzeros with `itertools.compress` and refuse a ragged
-factor; `k_matrix(k, k)` lists no window. An image checks only the caller's generator; its
-staircase rows and labels are trusted.
+`shift_*_generator` are `general_shift` over one step; `k_matrix` keeps their untwisted images
+and its windows in one memo, bound to one Context. `general_shift` keys its nodes on raw
+(parts, det) tuples, reads each image from staircase rows (`_image_rows`, a row's label read off
+its last entry) once per call (none for a label in both windows) and labels only its result,
+whose `Term`s are bare tuples. K-matrix products find nonzeros with `itertools.compress` and
+refuse a ragged factor; `k_matrix(k, k)` lists no window. An image checks only the caller's
+generator; its staircase rows and labels are trusted.
 """
 
 from __future__ import annotations
@@ -86,16 +87,19 @@ def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_d
     """Rows (degree, canonical parts, det power, ext) of the image of the trusted label (parts, m)
     in W_src less W_dst. Down: its weight is a top; the staircase below it, left-most term in
     degree 0. Up: its weight is a base; the full staircase over it, right-most term in degree 0,
-    the top's wedge^d V trivialized away (det V ~ C) unless keep_det is set."""
-    w = Partition._trusted(_strip(tuple(x + m for x in parts) + (m,) * (ctx.r - len(parts))))
+    the top's wedge^d V trivialized away (det V ~ C) unless keep_det is set. A staircase row has
+    r positive parts, so its label is (row less its last entry, stripped; last); the down image's
+    base row has fewer and keeps `_canonical`."""
+    w = Partition._trusted(_strip(tuple([x + m for x in parts]) + (m,) * (ctx.r - len(parts))))
+    base, d = base_from_top(ctx, w) if down else w, ctx.d
+    steps = staircase_diagrams(ctx, base).steps[-1 - down::-1]  # reversed; down: less the top
+    rows = [(i, tuple([x - last for x in q[:q.index(last)]]), last,
+             0 if s == d and not keep_det else s)
+            for i, (p, s) in enumerate(steps, 0 if down else 1 - len(steps))
+            for q in (p.parts,) for last in q[-1:]]
     if down:
-        base = base_from_top(ctx, w)
-        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, base).steps[:-1])]
-        rows.append((base.parts, 0))
-    else:
-        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, w).steps)]
-    return [(i, *_canonical(delta, ctx.r), 0 if s == ctx.d and not keep_det else s)
-            for i, (delta, s) in enumerate(rows, 0 if down else 1 - len(rows))]
+        rows.append((len(rows), *_canonical(base.parts, ctx.r), 0))
+    return rows
 
 
 def _unit_step(
@@ -169,7 +173,7 @@ def general_shift(
     terms.sort(key=operator.itemgetter(0))
     for parts, m in {nd[0] for _, nd, _, _ in terms}:
         nodes[parts, m][2] = GeneratorLabel(Partition._trusted(parts), m + to_k - src)
-    terms = [Term(deg, nd[2], ext, copies) for deg, nd, ext, copies in terms]
+    terms = [tuple.__new__(Term, (deg, nd[2], ext, copies)) for deg, nd, ext, copies in terms]
     return TermComplex(tuple(terms), honest)
 
 
@@ -276,19 +280,25 @@ def int_determinant(rows) -> int:
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     """K-class matrix of the window shift, composed from unit steps that share one memo of
-    untwisted images (`_unit_step`): the caller's `memo`, if given. Each level indexes its target
-    basis by untwisted label, so `k_class` reads the shared images as they are. Past MATRIX_LIMIT
-    generators: ShapeError, before any image; k -> k is the C(d, r) identity, with no W_k listed."""
+    untwisted images (`_unit_step`) and of windows (W_k under k): the caller's `memo`, if given,
+    bound to the first Context that uses it (another Context: ShapeError). Each level indexes its
+    target basis by untwisted label, so `k_class` reads the shared images as they are. Past
+    MATRIX_LIMIT generators: ShapeError, before any image; k -> k is the C(d, r) identity."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
+    memo = {} if memo is None else memo
+    if (bound := memo.setdefault("ctx", ctx)) != ctx:
+        raise ShapeError(f"memo is bound to {bound}, not {ctx}")
     if from_k == to_k:
         return KMatrix(ctx, from_k, to_k, _identity_rows(n))
     step, current, entries = -1 if to_k < from_k else 1, from_k, None
-    b_from = enumerate_window(ctx, from_k)
-    memo = {} if memo is None else memo
+    for k in range(from_k, to_k + step, step):
+        if k not in memo:
+            memo[k] = enumerate_window(ctx, k)
+    b_from = memo[from_k]
     while current != to_k:
         nxt = current + step
-        b_to = enumerate_window(ctx, nxt)
+        b_to = memo[nxt]
         twist = min(current, nxt)
         index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
         unit = tuple(

@@ -53,19 +53,20 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
 
     Step k keeps the base rows above the depth of column k, inserts a row of
     length k there, and pushes each remaining base row down one place with one
-    extra box; the matching exterior power is s_k = r + k - (col_k + 1).
+    extra box; the matching exterior power is s_k = r + k - (col_k + 1). So every
+    delta_k has exactly r positive parts. Each step is built in one expression, as a
+    bare tuple over a trusted row.
     """
     delta = check_admissible_base(ctx, delta)
-    r = ctx.r
+    r, new, trusted = ctx.r, tuple.__new__, Partition._trusted
     base, c = delta.pad(r - 1), len(delta)
     pushed = tuple([x + 1 for x in base])
     steps = []
     for k in range(1, ctx.staircase_length + 1):
         while c and base[c - 1] < k:
             c -= 1  # c is col_k: the number of base rows of length >= k
-        rows = base[:c] + (k,) + pushed[c:]
-        steps.append(StaircaseStep(Partition._trusted(rows), r + k - (c + 1)))
-    return StaircaseData(ctx, delta, tuple(steps))
+        steps.append(new(StaircaseStep, (trusted(base[:c] + (k,) + pushed[c:]), r + k - c - 1)))
+    return new(StaircaseData, (ctx, delta, tuple(steps)))
 
 
 class SequenceTerm(NamedTuple):

@@ -425,7 +425,7 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
 
     Each unit step U is built once per direction and M_kl is their left fold.
     det M_kl is the product of the exact det U on its way: each U peels to nothing.
-    The unit K-matrices share one memo of untwisted unit-step images; every
+    The unit K-matrices share one memo of untwisted unit-step images and windows; every
     level reads the same untwisted image, so det-conjugation keeps its
     strength: it tests each level's `_unit_step` and untwisted indexing.
     """

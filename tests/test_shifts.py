@@ -8,12 +8,13 @@ import pytest
 
 from schurwin import shifts
 from schurwin.partitions import (
-    Context, GeneratorLabel, Partition, ShapeError, _bareiss, canonicalize
+    Context, GeneratorLabel, Partition, ShapeError, _bareiss, _canonical, canonicalize
 )
 from schurwin.shifts import (
     KMatrix,
     Term,
     TermComplex,
+    _image_rows,
     _mat_mul,
     _unit_step,
     cotwist_shift_amount,
@@ -24,6 +25,7 @@ from schurwin.shifts import (
     shift_down_generator,
     shift_up_generator,
 )
+from schurwin.staircase import base_from_top, staircase_diagrams
 from schurwin.verify import verify_relations
 from schurwin.windows import enumerate_window, in_window
 
@@ -736,3 +738,76 @@ def test_k_matrix_translation_invariance():
     base_down = k_matrix(ctx, 1, 0).entries
     for k in (-2, 0, 3):
         assert k_matrix(ctx, k + 1, k).entries == base_down
+
+
+def test_k_matrix_memo_is_bound_to_one_context():
+    # the memo's keys (untwisted labels, window indices) do not name the Context:
+    # reused for (5,2) after (4,2), an unbound memo gave rows 3, 4 and 6 from (4,2)'s
+    # images, row 3 as (1, 0, -10, 0, 10, 0, 0, 0, 0, 0)
+    memo = {}
+    first = k_matrix(Context(4, 2), 1, 0, memo)
+    bound = r"memo is bound to Context\(d=4, r=2\), not Context\(d=5, r=2\)"
+    with pytest.raises(ShapeError, match=bound):
+        k_matrix(Context(5, 2), 1, 0, memo)
+    with pytest.raises(ShapeError, match="memo is bound to"):
+        k_matrix(Context(5, 2), 1, 1, memo)
+    assert k_matrix(Context(4, 2), 1, 0, memo) == first == k_matrix(Context(4, 2), 1, 0)
+    assert k_matrix(Context(5, 2), 1, 0).entries[3] == (0, 0, 0, 0, 0, 0, 0, 1, 0, 0)
+
+
+def canonical_image_rows(ctx, parts, m, down, keep_det):
+    """`_image_rows` as it read each row's label with `_canonical`."""
+    w = Partition((*(x + m for x in parts), *(m,) * (ctx.r - len(parts))))
+    if down:
+        base = base_from_top(ctx, w)
+        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, base).steps[:-1])]
+        rows.append((base.parts, 0))
+    else:
+        rows = [(st.delta.parts, st.s) for st in reversed(staircase_diagrams(ctx, w).steps)]
+    return [(i, *_canonical(delta, ctx.r), 0 if s == ctx.d and not keep_det else s)
+            for i, (delta, s) in enumerate(rows, 0 if down else 1 - len(rows))]
+
+
+def test_image_rows_read_labels_off_the_last_entry():
+    images = 0
+    for d in range(1, 9):
+        for r in range(1, d + 1):
+            ctx = Context(d, r)
+            for src, dst in [(1, 0), (0, 1)]:
+                for g in enumerate_window(ctx, src):
+                    if in_window(g, dst, ctx):
+                        continue
+                    for keep_det in (False, True):
+                        args = (ctx, g.delta.parts, g.det_power, src > dst, keep_det)
+                        assert _image_rows(*args) == canonical_image_rows(*args), args
+                        images += 1
+    # W_1 less W_0 and W_0 less W_1 each have C(d - 1, r - 1) labels
+    assert images == 2 * 2 * sum(2 ** (d - 1) for d in range(1, 9))
+
+
+def count_windows(monkeypatch):
+    """Record the k of each window `k_matrix` lists."""
+    listed = []
+
+    def counted(ctx, k, _honest=shifts.enumerate_window):
+        listed.append(k)
+        return _honest(ctx, k)
+
+    monkeypatch.setattr(shifts, "enumerate_window", counted)
+    return listed
+
+
+def test_k_matrix_memo_lists_each_window_once(monkeypatch):
+    listed = count_windows(monkeypatch)
+    ctx = Context(6, 3)
+    assert verify_relations(ctx).passed
+    assert sorted(listed) == [-2, -1, 0, 1, 2]
+    listed.clear()
+    memo = {}
+    first = k_matrix(ctx, 2, -2, memo)
+    assert sorted(listed) == [-2, -1, 0, 1, 2]
+    assert k_matrix(ctx, -2, 2, memo) == k_matrix(ctx, -2, 2, {})
+    assert k_matrix(ctx, 2, -2, memo) == first
+    assert len(listed) == 10  # the two fresh memos' windows only
+    for k in range(-2, 3):
+        assert memo[k] == enumerate_window(ctx, k)

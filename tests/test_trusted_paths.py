@@ -1,7 +1,8 @@
 """The library's own partitions skip validation, and nothing else does.
 
-`Partition._trusted` and `partitions._label` build staircase rows and window
-labels without re-checking tuples the library has just computed. These tests
+`Partition._trusted` and `partitions._label` build staircase rows, box
+partitions and window labels without re-checking tuples the library has just
+computed. These tests
 check that every such value equals the validated one, that building a unit-step
 image validates only the caller's generator, and that the two unchecked
 constructors are reached only from the places that build their own input.
@@ -42,12 +43,26 @@ def test_staircase_rows_equal_validated_partitions():
             for base in admissible_bases(ctx):
                 for st in staircase_diagrams(ctx, base).steps:
                     assert_valid(st.delta)
+                    # `_image_rows` reads each row's canonical label off its last entry
+                    assert len(st.delta) == r and st.delta.parts[-1] > 0, (d, r, base, st)
                     steps += 1
     # every admissible base has d - r + 1 steps
     assert steps == sum(
         len(admissible_bases(Context(d, r))) * (d - r + 1)
         for d in range(1, 11) for r in range(1, d + 1)
     )
+
+
+def test_box_partitions_equal_validated_partitions(monkeypatch):
+    calls = count_checks(monkeypatch)
+    boxes = {(rows, cols): box_partitions(rows, cols) for rows in range(6) for cols in range(6)}
+    assert calls == {"check_weight": 0, "_normalized": 0}
+    for (rows, cols), shapes in boxes.items():
+        assert shapes == [Partition(p.parts) for p in shapes], (rows, cols)
+        for p in shapes:
+            assert_valid(p)
+            assert p.fits_box(rows, cols), (rows, cols, p)
+    assert boxes[0, 3] == boxes[3, 0] == [Partition()]
 
 
 def test_base_from_top_equals_validated_partition():
@@ -188,6 +203,7 @@ def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
     assert found == [
         ("partitions.py", "_label", "Partition._trusted"),
         ("partitions.py", "_label", "_canonical"),
+        ("partitions.py", "box_partitions", "Partition._trusted"),
         ("shifts.py", "_image_rows", "Partition._trusted"),
         ("shifts.py", "_image_rows", "_canonical"),
         ("shifts.py", "general_shift", "Partition._trusted"),
