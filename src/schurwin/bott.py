@@ -161,6 +161,25 @@ def hom_bundle_cohomology(
     return out
 
 
+def hom_sweep(ctx: Context, shapes):
+    """Yield (i, j, table) for the first pair (shapes[i], shapes[j]) in pair order of each key
+    of Hom(S^v(shapes[i]), S^v(shapes[j])), table its `hom_bundle_cohomology`. A pair's table
+    depends only on its key: the `_class_key` of its translated weights and their total offset.
+    Each shape is translated once, each key decided once, class by class, and the class memo
+    is cleared after each class."""
+    memo, steps, weights, r = {}, {}, {}, ctx.r  # `steps`: the LR strip-DP transitions
+    duals = [_box_weight(weights, s, r, True) for s in shapes]
+    plains = [_box_weight(weights, s, r, False) for s in shapes]
+    first: dict = {}  # class -> {total offset: (i, j) of its first pair}
+    for i, (u, nu) in enumerate(duals):
+        for j, (v, nv) in enumerate(plains):
+            first.setdefault(_class_key(u, v), {}).setdefault(nu + nv, (i, j))
+    for offsets in first.values():
+        for i, j in offsets.values():
+            yield i, j, hom_bundle_cohomology(ctx, shapes[i], shapes[j], memo, steps, weights)
+        memo.clear()
+
+
 def euler_character(ctx: Context, hw: HomogeneousWeight) -> SchurExpansion:
     """Alternating sum of the cohomology as a virtual GL(d) character."""
     groups = bwb(ctx, hw).groups  # one dominant weight at most: stripped, it is a key

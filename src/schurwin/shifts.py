@@ -11,13 +11,11 @@ only the graded terms and the K-class are meaningful, like terms are not
 collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
-`shift_*_generator` are `general_shift` over one step; `k_matrix` keeps their untwisted images
-and its windows in one memo, bound to one Context. `general_shift` keys its nodes on raw
-(parts, det) tuples, reads each image from staircase rows (`_image_rows`, a row's label read off
-its last entry) once per call (none for a label in both windows) and labels only its result,
-whose `Term`s are bare tuples. K-matrix products find nonzeros with `itertools.compress` and
-refuse a ragged factor; `k_matrix(k, k)` lists no window. An image checks only the caller's
-generator; its staircase rows and labels are trusted.
+`shift_*_generator` are `general_shift` over one step, which reads each image from staircase
+rows (`_image_rows`) once per call; an image checks only the caller's generator, its staircase
+rows and labels are trusted. A `k_matrix` memo, bound to one Context, holds the untwisted
+unit-step images, the windows (W_k under k) and the entries of every unit step and fold M_kj
+(under (k, j)); a call resumes from the longest fold from its source that the memo holds.
 """
 
 from __future__ import annotations
@@ -279,11 +277,13 @@ def int_determinant(rows) -> int:
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
-    """K-class matrix of the window shift, composed from unit steps that share one memo of
-    untwisted images (`_unit_step`) and of windows (W_k under k): the caller's `memo`, if given,
-    bound to the first Context that uses it (another Context: ShapeError). Each level indexes its
-    target basis by untwisted label, so `k_class` reads the shared images as they are. Past
-    MATRIX_LIMIT generators: ShapeError, before any image; k -> k is the C(d, r) identity."""
+    """K-class matrix M_kl = U_k,k±1 @ ... @ U_l∓1,l of the window shift, the left fold of its
+    unit steps U. The caller's `memo`, if given, is bound to the first Context that uses it
+    (another: ShapeError) and keeps the untwisted images (`_unit_step`), windows (W_k under k)
+    and every unit step's and fold M_kj's entries under (k, j); a call resumes from the longest
+    fold from `from_k` it holds. A unit step indexes its target basis by untwisted label, so
+    `k_class` reads the shared images as they are. Past MATRIX_LIMIT generators: ShapeError,
+    before any image; k -> k is the C(d, r) identity."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
     memo = {} if memo is None else memo
@@ -291,21 +291,25 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
         raise ShapeError(f"memo is bound to {bound}, not {ctx}")
     if from_k == to_k:
         return KMatrix(ctx, from_k, to_k, _identity_rows(n))
-    step, current, entries = -1 if to_k < from_k else 1, from_k, None
-    for k in range(from_k, to_k + step, step):
-        if k not in memo:
-            memo[k] = enumerate_window(ctx, k)
-    b_from = memo[from_k]
+    step, current = -1 if to_k < from_k else 1, to_k
+    while current != from_k and (from_k, current) not in memo:
+        current -= step
+    entries = memo.get((from_k, current))  # None: no fold from `from_k` held
     while current != to_k:
         nxt = current + step
-        b_to = memo[nxt]
-        twist = min(current, nxt)
-        index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
-        unit = tuple(
-            k_class(ctx, _unit_step(ctx, g, current, nxt, memo=memo), b_to, index) for g in b_from
-        )
-        entries = unit if entries is None else _mat_mul(entries, unit)
-        b_from, current = b_to, nxt
+        if (current, nxt) not in memo:
+            for k in (current, nxt):
+                if k not in memo:
+                    memo[k] = enumerate_window(ctx, k)
+            b_from, b_to, twist = memo[current], memo[nxt], min(current, nxt)
+            index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
+            memo[current, nxt] = tuple(
+                k_class(ctx, _unit_step(ctx, g, current, nxt, memo=memo), b_to, index)
+                for g in b_from
+            )
+        unit = memo[current, nxt]
+        entries = memo[from_k, nxt] = unit if entries is None else _mat_mul(entries, unit)
+        current = nxt
     return KMatrix(ctx, from_k, to_k, entries)
 
 

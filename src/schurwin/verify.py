@@ -16,12 +16,10 @@ import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul
 
-from .bott import (
-    HomogeneousWeight, _box_weight, _class_key, euler_character, hom_bundle_cohomology
-)
+from .bott import HomogeneousWeight, euler_character, hom_sweep
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
 from .partitions import Context, Partition, ShapeError, _bareiss, box_partitions
 from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
@@ -348,25 +346,11 @@ def verify_euler(ctx: Context, delta=None) -> VerificationReport:
 
 
 def _tilting_failures(ctx: Context, shapes):
-    """Pairs of `shapes` with higher Ext, by their first pair in pair order. A pair's table
-    depends only on its key, the `_class_key` of its translated weights and their total offset:
-    each key is decided once, class by class, and the memo is cleared after each class."""
-    memo, steps, weights, r = {}, {}, {}, ctx.r  # `steps`: the LR strip-DP transitions
-    duals = [_box_weight(weights, s, r, True) for s in shapes]
-    plains = [_box_weight(weights, s, r, False) for s in shapes]
-    first: dict = {}  # class -> {total offset: (i, j) of its first pair}
-    for i, (u, nu) in enumerate(duals):
-        for j, (v, nv) in enumerate(plains):
-            first.setdefault(_class_key(u, v), {}).setdefault(nu + nv, (i, j))
-    failing = []
-    for offsets in first.values():
-        for i, j in offsets.values():
-            table = hom_bundle_cohomology(ctx, shapes[i], shapes[j], memo, steps, weights)
-            bad = [deg for deg in table.nonzero_degrees() if deg > 0]
-            if bad:
-                failing.append((i, j, bad))
-        memo.clear()
-    for i, j, bad in sorted(failing):
+    """Pairs of `shapes` with higher Ext, by their first pair in pair order; `hom_sweep`
+    decides each (translation class, total offset) key once, by its first pair."""
+    failing = sorted((i, j, bad) for i, j, table in hom_sweep(ctx, shapes)
+                     if (bad := [deg for deg in table.nonzero_degrees() if deg > 0]))
+    for i, j, bad in failing:
         yield {"gamma": list(shapes[i].parts), "delta": list(shapes[j].parts), "degrees": bad}
 
 
@@ -423,30 +407,22 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
     and det-conjugation. Stops at the first failure; past MATRIX_LIMIT, `k_matrix` raises first.
 
-    Each unit step U is built once per direction and M_kl is their left fold.
-    det M_kl is the product of the exact det U on its way: each U peels to nothing.
-    The unit K-matrices share one memo of untwisted unit-step images and windows; every
-    level reads the same untwisted image, so det-conjugation keeps its
-    strength: it tests each level's `_unit_step` and untwisted indexing.
+    Every M_kl is read from `k_matrix` through one memo, which builds each unit step U once
+    per direction and multiplies each fold once. det M_kl is the product of the exact det U
+    on its way, each U's taken once: each U peels to nothing. Every level reads the same
+    untwisted unit-step image, so det-conjugation keeps its strength: it tests each level's
+    `_unit_step` and untwisted indexing.
     """
     t0 = time.perf_counter()
-    ks = sorted(k_range)
-    walk = range(ks[0], ks[-1] + 1) if ks else range(0)
-    memo: dict = {}
-    units = {(k, l): k_matrix(ctx, k, l, memo) for k in walk for l in (k - 1, k + 1) if l in walk}
-    unit_dets = {kl: u.determinant() for kl, u in units.items()}
-    mats, dets = {}, {}
-    for k in ks:
-        row = {k: k_matrix(ctx, k, k)}
-        dets[(k, k)] = row[k].determinant()
-        for step in (1, -1):
-            m, det, j = None, 1, k
-            while j + step in walk:
-                key, j = (j, j + step), j + step
-                m = units[key] if m is None else m @ units[key]
-                det *= unit_dets[key]
-                row[j], dets[(k, j)] = m, det
-        mats.update(((k, l), row[l]) for l in ks)
+    ks, memo, unit_dets, dets = sorted(k_range), {}, {}, {}
+    mats = {(k, l): k_matrix(ctx, k, l, memo) for k in ks for l in ks}
+    for (k, l), m in mats.items():
+        step = 1 if l > k else -1
+        path = [(j, j + step) for j in range(k, l, step)]
+        for kj in path:
+            if kj not in unit_dets:
+                unit_dets[kj] = k_matrix(ctx, *kj, memo).determinant()
+        dets[(k, l)] = prod(unit_dets[kj] for kj in path) if path else m.determinant()
     return _report(
         "relations",
         {

@@ -10,6 +10,7 @@ from schurwin.bott import (
     bwb,
     euler_character,
     hom_bundle_cohomology,
+    hom_sweep,
     serre_dual,
 )
 from schurwin.partitions import (
@@ -251,6 +252,26 @@ def test_hom_bundle_classifies_each_class_and_offset_once(monkeypatch):
             if hit is not None:
                 expected.add(*hit, mult)
         assert table == expected, (pair, total)
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (6, 3)])
+def test_hom_sweep_yields_each_keys_first_pair(d, r):
+    # one (i, j, table) per (translation class, total offset) key, for its first
+    # pair in pair order, and every pair of the key has that table
+    ctx = Context(d, r)
+    shapes = box_partitions(r, d - r)
+    keys = []
+    for gamma, delta in product(shapes, repeat=2):
+        u, v = dual_weight(gamma.pad(r)), delta.pad(r)
+        pair = tuple(sorted((tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v))))
+        keys.append((pair, -u[-1] - v[-1]))
+    first = {}
+    for n, key in enumerate(keys):
+        first.setdefault(key, divmod(n, len(shapes)))
+    tables = {(i, j): table for i, j, table in hom_sweep(ctx, shapes)}
+    assert sorted(tables) == sorted(first.values())
+    for n, (gamma, delta) in enumerate(product(shapes, repeat=2)):
+        assert hom_bundle_cohomology(ctx, gamma, delta) == tables[first[keys[n]]], n
 
 
 @pytest.mark.parametrize("d, r", [(6, 3), (7, 3)])

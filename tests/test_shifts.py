@@ -811,3 +811,25 @@ def test_k_matrix_memo_lists_each_window_once(monkeypatch):
     assert len(listed) == 10  # the two fresh memos' windows only
     for k in range(-2, 3):
         assert memo[k] == enumerate_window(ctx, k)
+
+
+@pytest.mark.parametrize("d, r", [(5, 2), (6, 3)])
+def test_k_matrix_memo_resumes_the_longest_fold(monkeypatch, d, r):
+    # one memo across every (k, l) in [-3, 3]^2, shuffled: each K-matrix is a
+    # fresh one, and each fold of two or more steps is multiplied exactly once
+    ctx, ks = Context(d, r), range(-3, 4)
+    fresh = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
+    count = [0]
+    honest = shifts._mat_mul
+
+    def counted(a, b):
+        count[0] += 1
+        return honest(a, b)
+
+    monkeypatch.setattr(shifts, "_mat_mul", counted)
+    pairs = list(fresh)
+    random.Random(d * 10 + r).shuffle(pairs)
+    memo = {}
+    for k, l in pairs:
+        assert k_matrix(ctx, k, l, memo) == fresh[(k, l)], (k, l)
+    assert count[0] == sum(abs(k - l) >= 2 for k, l in pairs) == 30

@@ -416,22 +416,25 @@ def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
     assert rep.counterexample == {"relation": "identity", "k": 1}
 
 
-@pytest.mark.parametrize(
-    "k_range, products", [(range(-2, 3), 22), ([0, 2], 3), ([-3, 0, 3], 17)]
-)
-def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products):
+@pytest.mark.parametrize("k_range, products, determinants", [
+    pytest.param(range(-2, 3), 22, 13, id="k_range0-22"),
+    pytest.param([0, 2], 3, 6, id="k_range1-3"),
+    pytest.param([-3, 0, 3], 17, 15, id="k_range2-17"),
+])
+def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products, determinants):
     # the fold, plus one round-trip product M_lo,hi @ M_hi,lo per unordered pair {a, l}
-    # that some triple (k, l, m) with l outside [k, m] and a = k or m needs
-    count = [0]
-    honest = shifts._mat_mul
+    # that some triple (k, l, m) with l outside [k, m] and a = k or m needs; one
+    # determinant per unit step on the walk and per identity, none of a composed matrix
+    count = {"_mat_mul": 0, "int_determinant": 0}
+    for name in count:
 
-    def counted(a, b):
-        count[0] += 1
-        return honest(a, b)
+        def counted(*args, _name=name, _honest=getattr(shifts, name)):
+            count[_name] += 1
+            return _honest(*args)
 
-    monkeypatch.setattr(shifts, "_mat_mul", counted)
+        monkeypatch.setattr(shifts, name, counted)
     assert verify_relations(Context(5, 2), k_range).passed
-    assert count[0] == products
+    assert count == {"_mat_mul": products, "int_determinant": determinants}
 
 
 @pytest.mark.parametrize("d, r", [(7, 3), (8, 4), (10, 4), (10, 5), (11, 5)])
@@ -867,7 +870,7 @@ def test_tilting_decides_each_class_and_offset_once(monkeypatch, d, r, calls):
     # one Hom call per (translation class, total offset) key, not one per pair
     # (400 and 1,225), and at most one class entry alive in the sweep's memo
     count, alive = [0], []
-    honest_hom, honest_class = verify.hom_bundle_cohomology, bott._lr_class
+    honest_hom, honest_class = bott.hom_bundle_cohomology, bott._lr_class
 
     def counted(*args):
         count[0] += 1
@@ -878,7 +881,7 @@ def test_tilting_decides_each_class_and_offset_once(monkeypatch, d, r, calls):
         alive.append(len(memo))
         return entry
 
-    monkeypatch.setattr(verify, "hom_bundle_cohomology", counted)
+    monkeypatch.setattr(bott, "hom_bundle_cohomology", counted)
     monkeypatch.setattr(bott, "_lr_class", spied)
     assert verify_tilting(Context(d, r)).passed
     assert count[0] == len(alive) == calls and max(alive) == 1
@@ -915,7 +918,7 @@ def test_tilting_reports_the_first_failing_pair_in_pair_order(monkeypatch, d, r)
                    if class_rank[a[0]] < class_rank[b[0]] and first_pair[b] < first_pair[a])
     rng = random.Random(d)
     keys = list(first_pair)
-    honest = verify.hom_bundle_cohomology
+    honest = bott.hom_bundle_cohomology
     for chosen in [crossed] + [rng.sample(keys, k) for k in (1, 1, 2, 3, 5)]:
         decided = []
 
@@ -927,7 +930,7 @@ def test_tilting_reports_the_first_failing_pair_in_pair_order(monkeypatch, d, r)
                 table.add(1 + first_pair[key] % 3, (0,) * d)
             return table
 
-        monkeypatch.setattr(verify, "hom_bundle_cohomology", hom_with_ext)
+        monkeypatch.setattr(bott, "hom_bundle_cohomology", hom_with_ext)
         report = verify_tilting(ctx)
         order = {key: n for n, key in reversed(list(enumerate(decided)))}
         expected = next(_tilting_failures_per_pair(ctx, shapes, hom_with_ext))
@@ -1030,7 +1033,7 @@ def _failing_reports(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(V, "localization_holds", lambda *args: True)
         yield "mutations", V.localization_mutation_sweep(ctx, mutations=2, seed=1)
-    honest_hom = V.hom_bundle_cohomology
+    honest_hom = bott.hom_bundle_cohomology
 
     def hom_with_ext2(ctx, gamma, delta, *tables):
         table = honest_hom(ctx, gamma, delta, *tables)
@@ -1039,7 +1042,7 @@ def _failing_reports(monkeypatch):
         return table
 
     with monkeypatch.context() as m:
-        m.setattr(V, "hom_bundle_cohomology", hom_with_ext2)
+        m.setattr(bott, "hom_bundle_cohomology", hom_with_ext2)
         yield "tilting", V.verify_tilting(ctx)
     honest_read = V._read_golden
 
