@@ -13,9 +13,9 @@ The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 `shift_*_generator` are `general_shift` over one step, which reads each image from staircase
 rows (`_image_rows`) once per call; an image checks only the caller's generator, its staircase
-rows and labels are trusted. A `k_matrix` memo, bound to one Context, holds the untwisted
-unit-step images, the windows (W_k under k) and the entries of every unit step and fold M_kj
-(under (k, j)); a call resumes from the longest fold from its source that the memo holds.
+rows and labels are trusted. A caller's `k_matrix` memo keeps one table per Context, under it:
+the untwisted unit-step images, the windows (W_k under k) and the entries of every unit step and
+fold M_kj (under (k, j)); a call resumes from the longest fold from its source the table holds.
 """
 
 from __future__ import annotations
@@ -100,20 +100,16 @@ def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_d
     return rows
 
 
-def _unit_step(
-    ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, keep_det: bool = False, memo=None
-) -> TermComplex:
+def _unit_step(ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, memo) -> TermComplex:
     """One-step shift between adjacent windows, via det-twist conjugation: the
     W_1 -> W_0 or W_0 -> W_1 image of g untwisted by det^t, t = min(from_k, to_k), from
-    `shift_*_generator` (`general_shift` over one step), kept under (untwisted label, downward,
-    keep_det) in the caller's `memo`, if any. Not twisted back: its det powers are less t."""
+    `shift_*_generator` (`general_shift` over one step), kept under (untwisted label, downward)
+    in `memo`, `k_matrix`'s table for ctx. Not twisted back: its det powers are less t."""
     if abs(from_k - to_k) != 1:
         raise ShapeError("unit step requires adjacent windows")
-    down, twist = to_k < from_k, min(from_k, to_k)
-    g0 = GeneratorLabel(g.delta, g.det_power - twist)
-    key, memo = (g0, down, keep_det), {} if memo is None else memo
-    if key not in memo:
-        memo[key] = shift_down_generator(ctx, g0) if down else shift_up_generator(ctx, g0, keep_det)
+    down, g0 = to_k < from_k, GeneratorLabel(g.delta, g.det_power - min(from_k, to_k))
+    if (key := (g0, down)) not in memo:
+        memo[key] = shift_down_generator(ctx, g0) if down else shift_up_generator(ctx, g0)
     return memo[key]
 
 
@@ -278,17 +274,14 @@ def int_determinant(rows) -> int:
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     """K-class matrix M_kl = U_k,k±1 @ ... @ U_l∓1,l of the window shift, the left fold of its
-    unit steps U. The caller's `memo`, if given, is bound to the first Context that uses it
-    (another: ShapeError) and keeps the untwisted images (`_unit_step`), windows (W_k under k)
-    and every unit step's and fold M_kj's entries under (k, j); a call resumes from the longest
-    fold from `from_k` it holds. A unit step indexes its target basis by untwisted label, so
-    `k_class` reads the shared images as they are. Past MATRIX_LIMIT generators: ShapeError,
-    before any image; k -> k is the C(d, r) identity."""
+    unit steps U. The caller owns `memo`, if given; its table `memo[ctx]` keeps the untwisted
+    images (`_unit_step`), windows (W_k under k) and every unit step's and fold M_kj's entries
+    under (k, j). A call resumes from the longest fold from `from_k` the table holds. A unit
+    step indexes its target basis by untwisted label, so `k_class` reads the shared images as
+    they are. Past MATRIX_LIMIT generators: ShapeError, before any image; k -> k: the identity."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
-    memo = {} if memo is None else memo
-    if (bound := memo.setdefault("ctx", ctx)) != ctx:
-        raise ShapeError(f"memo is bound to {bound}, not {ctx}")
+    memo = ({} if memo is None else memo).setdefault(ctx, {})
     if from_k == to_k:
         return KMatrix(ctx, from_k, to_k, _identity_rows(n))
     step, current = -1 if to_k < from_k else 1, to_k
@@ -304,7 +297,7 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
             b_from, b_to, twist = memo[current], memo[nxt], min(current, nxt)
             index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
             memo[current, nxt] = tuple(
-                k_class(ctx, _unit_step(ctx, g, current, nxt, memo=memo), b_to, index)
+                k_class(ctx, _unit_step(ctx, g, current, nxt, memo), b_to, index)
                 for g in b_from
             )
         unit = memo[current, nxt]

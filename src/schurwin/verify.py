@@ -132,7 +132,17 @@ def _over_base(mu, rows):
     return None
 
 
-def _localization_counterexample(ctx, base, steps, points, memo=None):
+def _localization_tables(ctx: Context, points) -> list:
+    """An empty table (point, {s: e_s(t)}, {fixed subset: (b, q, h)}) per point, for one check
+    to fill; no point, or a point without d nonzero coordinates: ShapeError."""
+    tables = [(tuple(t), {}, {}) for t in points]
+    if not tables or any(len(t) != ctx.d or not all(t) for t, _, _ in tables):
+        raise ShapeError(f"localization needs one or more points, each of d={ctx.d} nonzero "
+                         f"coordinates, not {[[*map(str, t)] for t, _, _ in tables]}")
+    return tables
+
+
+def _localization_counterexample(ctx, base, steps, tables):
     """First fixed point where the alternating sum is nonzero, or None.
 
     The sum is taken over the integers. With q_t the lcm of the point's
@@ -146,14 +156,12 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     for m < 0. That is linear in the last row: the terms whose own rows match
     sum exactly into one `_bareiss` over one combined row. Any other term, such as a
     corrupted one, is its own `schur_at(mu, b)`, which builds its own h-table. A zero
-    sum is a necessary condition for exactness only. `memo`, a dict the caller owns,
-    is bound to `points`: at index p it keeps (the point, {s: e_s(t)},
-    {fixed subset: (b, q, h)}), h = `_h_table(b, m)`, m = max mu_1 + r - 1
-    over its diagrams so far, the last index a row reads; another point at
-    index p raises ShapeError.
+    sum is a necessary condition for exactness only. `tables` (`_localization_tables`) has
+    one table per point, which carries its point; a call adds each e_s(t) it lacks and, per
+    fixed subset, (b, q, h), h = `_h_table(b, m)`, m = max mu_1 + r - 1 over the diagrams so
+    far, the last index a row reads.
     """
     r, d = ctx.r, ctx.d
-    memo = {} if memo is None else memo
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
     sizes = [sum(mu) for mu in diagrams]
     rows = [a - i for i, a in enumerate(diagrams[0][: r - 1])]  # the base's first r - 1 offsets
@@ -163,10 +171,7 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     pad = (0,) * (r - 1)  # every offset is at least 1 - r
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
     top_s, top_m = max(wedges), max(sizes)
-    for p, t in enumerate(points):
-        kept, es, cleared = memo.setdefault(p, (tuple(t), {}, {}))
-        if kept != tuple(t):
-            raise ShapeError(f"memo has point {p} as {[*map(str, kept)]}, not {[*map(str, t)]}")
+    for t, es, cleared in tables:
         es.update((s, elementary_at(t, s)) for s in set(wedges) - es.keys())
         scale = lcm(*(x.denominator for x in t)) ** top_s
         coeffs = [(-1) ** n * sign * es[s].numerator * (scale // es[s].denominator)
@@ -197,10 +202,10 @@ def _localization_counterexample(ctx, base, steps, points, memo=None):
     return None
 
 
-def localization_holds(ctx, base, steps, points, memo=None) -> bool:
-    """Fixed-point identity for explicitly given staircase terms; `memo` is
-    as for `_localization_counterexample`."""
-    return _localization_counterexample(ctx, base, steps, points, memo) is None
+def localization_holds(ctx, base, steps, points) -> bool:
+    """Fixed-point identity for explicitly given staircase terms at `points`, each d nonzero
+    rationals (else ShapeError), with fresh tables."""
+    return _localization_counterexample(ctx, base, steps, _localization_tables(ctx, points)) is None
 
 
 def verify_localization(
@@ -217,15 +222,14 @@ def verify_localization(
         raise ShapeError("samples must be at least 1")
     _refuse_past_work_limit(ctx, samples, None if delta is None and ctx.r else 1)
     rng = random.Random(seed)
-    points = [sample_point(rng, ctx.d) for _ in range(samples)]
+    tables = _localization_tables(ctx, [sample_point(rng, ctx.d) for _ in range(samples)])
     bases, deltas = _bases(ctx, delta)
-    memo: dict = {}
     return _report(
         "localization",
         {"d": ctx.d, "r": ctx.r, "samples": samples, "seed": seed, "deltas": deltas},
         t0,
         (
-            _localization_counterexample(ctx, b, staircase_diagrams(ctx, b).steps, points, memo)
+            _localization_counterexample(ctx, b, staircase_diagrams(ctx, b).steps, tables)
             for b in bases
         ),
         (
@@ -271,15 +275,14 @@ def localization_mutation_sweep(
         raise ShapeError("mutations must be at least 1")
     _refuse_past_work_limit(ctx, 3, mutations)
     rng = random.Random(seed)
-    points = [sample_point(rng, ctx.d) for _ in range(3)]
+    tables = _localization_tables(ctx, [sample_point(rng, ctx.d) for _ in range(3)])
     bases = admissible_bases(ctx)
     survivors = []
-    memo: dict = {}
     for n in range(mutations):
         base = bases[rng.randrange(len(bases))]
         steps = staircase_diagrams(ctx, base).steps
         mutated = mutate_steps(rng, ctx, steps)
-        if localization_holds(ctx, base, mutated, points, memo):
+        if _localization_counterexample(ctx, base, mutated, tables) is None:
             survivors.append(
                 {
                     "mutation": n,
@@ -405,7 +408,8 @@ def _relation_failures(mats, dets, ks):
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: the identity shift, unimodularity,
     composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
-    and det-conjugation. Stops at the first failure; past MATRIX_LIMIT, `k_matrix` raises first.
+    and det-conjugation. Stops at the first failure; an empty `k_range`, or past MATRIX_LIMIT,
+    raises ShapeError before any K-matrix.
 
     Every M_kl is read from `k_matrix` through one memo, which builds each unit step U once
     per direction and multiplies each fold once. det M_kl is the product of the exact det U
@@ -415,6 +419,8 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """
     t0 = time.perf_counter()
     ks, memo, unit_dets, dets = sorted(k_range), {}, {}, {}
+    if not ks:
+        raise ShapeError("k_range names no window")
     mats = {(k, l): k_matrix(ctx, k, l, memo) for k in ks for l in ks}
     for (k, l), m in mats.items():
         step = 1 if l > k else -1

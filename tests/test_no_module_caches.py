@@ -68,6 +68,29 @@ def test_library_has_no_module_level_caches():
     assert found == []
 
 
+def _parameters(fn):
+    return [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+
+
+def test_only_k_matrix_and_hom_bundle_cohomology_take_a_memo():
+    # a check builds and owns its other tables (verify's localization tables carry
+    # their points); the two memos a caller may share across calls key by what
+    # fills them: `k_matrix` keeps one table per Context, and the Hom class memo
+    # is keyed by the weights it was built from
+    with_memo = []
+    for module, names in schurwin._EXPORTS.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        with_memo += [
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names.split()
+            and "memo" in _parameters(node)
+        ]
+    assert sorted(with_memo) == ["hom_bundle_cohomology", "k_matrix"]
+    shifts = ast.parse((PACKAGE / "shifts.py").read_text()).body
+    unit_step = [node for node in shifts if getattr(node, "name", None) == "_unit_step"]
+    assert len(unit_step) == 1 and "keep_det" not in _parameters(unit_step[0])
+
+
 def test_library_has_no_mutable_default_arguments():
     # a `steps={}` default would be a table shared by every call for the life
     # of the process: caller-owned tables default to None

@@ -96,7 +96,7 @@ def test_unit_step_needs_adjacent_windows():
     ctx = Context(4, 2)
     for from_k, to_k in ((0, 2), (1, 1), (2, 0)):
         with pytest.raises(ShapeError, match="adjacent windows"):
-            _unit_step(ctx, canonicalize((1, 0)), from_k, to_k)
+            _unit_step(ctx, canonicalize((1, 0)), from_k, to_k, {})
 
 
 def test_k_matrices_of_mismatched_windows_do_not_compose():
@@ -429,8 +429,15 @@ def test_mat_mul_matches_naive_triple_loop():
         assert all(type(row) is tuple for row in got)
 
 
+def untwisted_step(ctx, g, from_k, to_k, keep_det):
+    """The unit step's image as `_unit_step` builds it, with wedge^d V kept if asked: the
+    one-step shift of g untwisted by det^min(from_k, to_k)."""
+    g0 = GeneratorLabel(g.delta, g.det_power - min(from_k, to_k))
+    return shift_down_generator(ctx, g0) if to_k < from_k else shift_up_generator(ctx, g0, keep_det)
+
+
 def substituted_shift(ctx, from_k, to_k, g, keep_det):
-    """Termwise unit-step substitution with a fresh `_unit_step` per term,
+    """Termwise unit-step substitution with a fresh `untwisted_step` per term,
     each untwisted image twisted back here by det^min(k, k +- 1)."""
     terms = [Term(0, g)]
     step = -1 if to_k < from_k else 1
@@ -438,7 +445,7 @@ def substituted_shift(ctx, from_k, to_k, g, keep_det):
         twist = min(current, current + step)
         new_terms = []
         for t in terms:
-            for u in _unit_step(ctx, t.label, current, current + step, keep_det).terms:
+            for u in untwisted_step(ctx, t.label, current, current + step, keep_det).terms:
                 label = GeneratorLabel(u.label.delta, u.label.det_power + twist)
                 copies = t.copies * u.copies
                 if t.ext_power == 0:
@@ -472,8 +479,8 @@ def test_general_shift_matches_unmemoized_substitution(d, r):
 def node_shift(ctx, from_k, to_k, g, keep_det):
     """`general_shift` as it was before its nodes were raw tuples: each level
     holds terms whose labels are untwisted by the next step's twist; a label in
-    both windows of the step is its own image, any other takes the `_unit_step`
-    `TermComplex` from one memo per call; every label is twisted into W_to last."""
+    both windows of the step is its own image, any other takes the `untwisted_step`
+    terms from one memo per call; every label is twisted into W_to last."""
     step = -1 if to_k < from_k else 1
     src, dst = (1, 0) if step < 0 else (0, 1)
     memo, terms = {}, [Term(0, GeneratorLabel(g.delta, g.det_power - from_k + src))]
@@ -483,7 +490,9 @@ def node_shift(ctx, from_k, to_k, g, keep_det):
             if ctx.r and in_window(t.label, dst, ctx):
                 image = (Term(0, t.label),)
             else:
-                image = _unit_step(ctx, t.label, src, dst, keep_det, memo).terms
+                if t.label not in memo:
+                    memo[t.label] = untwisted_step(ctx, t.label, src, dst, keep_det).terms
+                image = memo[t.label]
             for u in image:
                 copies = t.copies * u.copies
                 if u.ext_power == 0:
@@ -639,14 +648,17 @@ def test_relations_build_each_untwisted_image_once(monkeypatch, d, r, images):
 
 @pytest.mark.parametrize("d, r", [(5, 2), (6, 3), (7, 3)])
 def test_unit_step_with_shared_memo_matches_memo_free(d, r):
+    # one memo over every level and direction gives what a fresh memo per call
+    # gives, the one-step shift of the untwisted label
     ctx, memo = Context(d, r), {}
     for k in range(-3, 4):
         for g in enumerate_window(ctx, k):
-            for to_k, keep_det in product((k - 1, k + 1), (False, True)):
-                got = _unit_step(ctx, g, k, to_k, keep_det, memo)
-                assert got == _unit_step(ctx, g, k, to_k, keep_det), (g, k, to_k, keep_det)
-    # one image per generator of W_1 (down) and of W_0 (up), per keep_det
-    assert len(memo) == 4 * comb(d, r)
+            for to_k in (k - 1, k + 1):
+                got = _unit_step(ctx, g, k, to_k, memo)
+                assert got == _unit_step(ctx, g, k, to_k, {}), (g, k, to_k)
+                assert got == untwisted_step(ctx, g, k, to_k, False), (g, k, to_k)
+    # one image per generator of W_1 (down) and of W_0 (up)
+    assert len(memo) == 2 * comb(d, r)
 
 
 def test_general_shift_identity_and_single_step():
@@ -741,18 +753,16 @@ def test_k_matrix_translation_invariance():
 
 
 def test_k_matrix_memo_is_bound_to_one_context():
-    # the memo's keys (untwisted labels, window indices) do not name the Context:
-    # reused for (5,2) after (4,2), an unbound memo gave rows 3, 4 and 6 from (4,2)'s
-    # images, row 3 as (1, 0, -10, 0, 10, 0, 0, 0, 0, 0)
-    memo = {}
-    first = k_matrix(Context(4, 2), 1, 0, memo)
-    bound = r"memo is bound to Context\(d=4, r=2\), not Context\(d=5, r=2\)"
-    with pytest.raises(ShapeError, match=bound):
-        k_matrix(Context(5, 2), 1, 0, memo)
-    with pytest.raises(ShapeError, match="memo is bound to"):
-        k_matrix(Context(5, 2), 1, 1, memo)
-    assert k_matrix(Context(4, 2), 1, 0, memo) == first == k_matrix(Context(4, 2), 1, 0)
-    assert k_matrix(Context(5, 2), 1, 0).entries[3] == (0, 0, 0, 0, 0, 0, 0, 1, 0, 0)
+    # the table keys (untwisted labels, window indices) do not name the Context, so
+    # the memo keeps one table per Context, under it: one table reused for (5,2)
+    # after (4,2) gave rows 3, 4 and 6 from (4,2)'s images, row 3 as
+    # (1, 0, -10, 0, 10, 0, 0, 0, 0, 0)
+    memo, small, big = {}, Context(4, 2), Context(5, 2)
+    for ctx in (small, big, small):
+        for k, l in ((1, 0), (1, 1), (2, -1), (-1, 2)):
+            assert k_matrix(ctx, k, l, memo) == k_matrix(ctx, k, l), (ctx, k, l)
+    assert list(memo) == [small, big]
+    assert k_matrix(big, 1, 0, memo).entries[3] == (0, 0, 0, 0, 0, 0, 0, 1, 0, 0)
 
 
 def canonical_image_rows(ctx, parts, m, down, keep_det):
@@ -810,7 +820,7 @@ def test_k_matrix_memo_lists_each_window_once(monkeypatch):
     assert k_matrix(ctx, 2, -2, memo) == first
     assert len(listed) == 10  # the two fresh memos' windows only
     for k in range(-2, 3):
-        assert memo[k] == enumerate_window(ctx, k)
+        assert memo[ctx][k] == enumerate_window(ctx, k)
 
 
 @pytest.mark.parametrize("d, r", [(5, 2), (6, 3)])

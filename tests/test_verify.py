@@ -1,6 +1,5 @@
 import json
 import random
-import re
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
@@ -19,6 +18,7 @@ from schurwin.verify import (
     SAMPLE_LIMIT,
     VerificationReport,
     _localization_counterexample,
+    _localization_tables,
     localization_holds,
     localization_mutation_sweep,
     mutate_steps,
@@ -158,6 +158,24 @@ def test_localization_passes_d4_r2():
     assert rep.passed
 
 
+@pytest.mark.parametrize("points", [
+    pytest.param([(1, 2, 3, 4, 5)], id="d-plus-one"),
+    pytest.param([(1, 2)], id="two-coordinates"),
+    pytest.param([(1, 2, 0, 4)], id="zero"),
+    pytest.param([(1, 2, 3, 4), (Fraction(1, 2), Fraction(0), 3, 4)], id="second-has-zero"),
+    pytest.param([], id="no-point"),
+])
+def test_localization_refuses_bad_points(points):
+    # unrefused, a fifth coordinate entered e_s but no fixed subset, so the honest
+    # staircase failed with residual -105/2; two coordinates raised IndexError, a
+    # zero ZeroDivisionError, and no point at all passed
+    ctx, base = Context(4, 2), Partition((1,))
+    steps = staircase_diagrams(ctx, base).steps
+    assert localization_holds(ctx, base, steps, [(1, 2, 3, 4)])
+    with pytest.raises(ShapeError, match="each of d=4 nonzero coordinates"):
+        localization_holds(ctx, base, steps, points)
+
+
 def test_localization_catches_corruption():
     ctx = Context(4, 2)
     rng = random.Random(1)
@@ -239,8 +257,8 @@ def test_relations_catch_a_bad_unit_step(monkeypatch):
     # one extra copy in one unit-step image must surface as a failed relation
     honest_step = shifts._unit_step
 
-    def bad_step(ctx, g, from_k, to_k, keep_det=False, memo=None):
-        tc = honest_step(ctx, g, from_k, to_k, keep_det, memo)
+    def bad_step(ctx, g, from_k, to_k, memo):
+        tc = honest_step(ctx, g, from_k, to_k, memo)
         if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
             return tc
         first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
@@ -363,13 +381,13 @@ def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d
     corrupt, first_failure = UNIT_STEP_CORRUPTIONS[name]
     honest_step = shifts._unit_step
 
-    def step(ctx, g, from_k, to_k, keep_det=False, memo=None):
-        tc = honest_step(ctx, g, from_k, to_k, keep_det, memo)
+    def step(ctx, g, from_k, to_k, memo):
+        tc = honest_step(ctx, g, from_k, to_k, memo)
         return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
 
     monkeypatch.setattr(shifts, "_unit_step", step)
     ctx = Context(d, r)
-    for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3), range(-4, 4), []):
+    for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3), range(-4, 4)):
         expected = _reference_relations(ctx, k_range)
         rep = verify_relations(ctx, k_range)
         assert rep.passed == (expected is None), k_range
@@ -386,8 +404,8 @@ def test_round_trip_is_the_identity_in_both_orders_or_neither(monkeypatch, name,
     corrupt, _ = UNIT_STEP_CORRUPTIONS[name]
     honest_step = shifts._unit_step
 
-    def step(ctx, g, from_k, to_k, keep_det=False, memo=None):
-        tc = honest_step(ctx, g, from_k, to_k, keep_det, memo)
+    def step(ctx, g, from_k, to_k, memo):
+        tc = honest_step(ctx, g, from_k, to_k, memo)
         return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
 
     monkeypatch.setattr(shifts, "_unit_step", step)
@@ -397,6 +415,16 @@ def test_round_trip_is_the_identity_in_both_orders_or_neither(monkeypatch, name,
     assert all(trips[(a, l)] == trips[(l, a)] for a, l in trips)
     # the fake's first failure is a composition, so some round trip is not the identity
     assert all(trips.values()) == (corrupt is None)
+
+
+@pytest.mark.parametrize("k_range", [[], range(3, 3), ()])
+def test_relations_refuse_an_empty_k_range(monkeypatch, k_range):
+    # an empty range checked no relation yet reported "K-matrix relations hold"
+    built = []
+    monkeypatch.setattr(verify, "k_matrix", lambda *args: built.append(args))
+    with pytest.raises(ShapeError, match="k_range names no window"):
+        verify_relations(Context(4, 2), k_range)
+    assert built == []
 
 
 def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
@@ -474,12 +502,17 @@ def test_admissible_base_sweep_passes_both_checks():
         assert len(admissible_bases(ctx)) > 0
 
 
+def _fresh_counterexample(ctx, base, steps, points):
+    """`_localization_counterexample` with fresh tables for `points`."""
+    return _localization_counterexample(ctx, base, steps, _localization_tables(ctx, points))
+
+
 def _mutated_counterexample(ctx, base, rng_seed, samples, mutate):
     rng = random.Random(rng_seed)
     points = [sample_point(rng, ctx.d) for _ in range(samples)]
     steps = list(staircase_diagrams(ctx, base).steps)
     mutate(steps)
-    return _localization_counterexample(ctx, base, tuple(steps), points)
+    return _fresh_counterexample(ctx, base, tuple(steps), points)
 
 
 def test_localization_counterexample_bytes_pinned():
@@ -508,15 +541,16 @@ def test_localization_counterexample_bytes_pinned():
 
 
 def test_localization_memo_shared_across_calls():
+    # one check's tables, shared by every base: each point's table holds its point
     ctx = Context(4, 2)
     rng = random.Random(2)
     points = [sample_point(rng, 4) for _ in range(2)]
-    memo = {}
+    tables = _localization_tables(ctx, points)
     for base in admissible_bases(ctx):
         steps = staircase_diagrams(ctx, base).steps
-        assert localization_holds(ctx, base, steps, points, memo)
-    assert sorted(memo) == [0, 1]
-    for p, (t, es, cleared) in memo.items():
+        assert _localization_counterexample(ctx, base, steps, tables) is None
+    assert len(tables) == 2
+    for p, (t, es, cleared) in enumerate(tables):
         assert t == points[p]
         assert es
         for s, value in es.items():
@@ -528,23 +562,6 @@ def test_localization_memo_shared_across_calls():
             assert b == tuple(x * q for x in y)
             assert len(h) == 5  # h_0..h_4: the top (3, 3)'s first row reads h_3..h_(3 + 1)
             assert h == symfunc._h_table(b, len(h) - 1)
-
-
-def test_localization_memo_bound_to_its_points():
-    ctx = Context(4, 2)
-    rng = random.Random(3)
-    first = [sample_point(rng, 4) for _ in range(2)]
-    second = [first[0], sample_point(rng, 4)]
-    base = admissible_bases(ctx)[0]
-    steps = staircase_diagrams(ctx, base).steps
-    memo = {}
-    assert localization_holds(ctx, base, steps, first, memo)
-    shown = f"point 1 as {[str(x) for x in first[1]]}, not {[str(x) for x in second[1]]}"
-    with pytest.raises(ShapeError, match=re.escape(shown)):
-        localization_holds(ctx, base, steps, second, memo)
-    # the same points, or a prefix of them, may share the memo
-    assert localization_holds(ctx, base, steps, first, memo)
-    assert localization_holds(ctx, base, steps, first[:1], memo)
 
 
 def _one_row_over(mu, base, r):
@@ -578,17 +595,17 @@ def _count_kernels(monkeypatch, points):
 
 
 def test_localization_evaluates_each_value_once(monkeypatch):
-    # one memo over every base of (6,3): one size-r determinant per (point,
+    # one check's tables over every base of (6,3): one size-r determinant per (point,
     # fixed subset, base), no schur_at for a real staircase, whose every term
     # is one row over its base, and one elementary_at per (point, s)
     ctx = Context(6, 3)
     rng = random.Random(6)
     points = [sample_point(rng, 6) for _ in range(3)]
     calls = _count_kernels(monkeypatch, points)
-    memo, wedges, bases = {}, set(), admissible_bases(ctx)
+    tables, wedges, bases = _localization_tables(ctx, points), set(), admissible_bases(ctx)
     for base in bases:
         steps = staircase_diagrams(ctx, base).steps
-        assert localization_holds(ctx, base, steps, points, memo)
+        assert _localization_counterexample(ctx, base, steps, tables) is None
         assert all(_one_row_over(st.delta.pad(3), base, 3) for st in steps)
         wedges.update((p, s) for p in range(3) for s in [0] + [st.s for st in steps])
     assert calls["_bareiss"] == [3] * (len(bases) * 3 * 20)
@@ -603,7 +620,7 @@ def test_localization_evaluates_each_value_once(monkeypatch):
         steps = mutate_steps(rng, ctx, staircase_diagrams(ctx, base).steps)
         off = [mu for mu in (st.delta.pad(3) for st in steps) if not _one_row_over(mu, base, 3)]
         del calls["schur_at"][:], calls["_bareiss"][:]
-        ce = _localization_counterexample(ctx, base, steps, points, memo)
+        ce = _localization_counterexample(ctx, base, steps, tables)
         assert ce is not None
         p = [[str(x) for x in t] for t in points].index(ce["point"])
         fixed = tuple(i - 1 for i in ce["fixedPoint"])
@@ -620,7 +637,7 @@ def test_localization_evaluates_each_value_once(monkeypatch):
 
 
 def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
-    # one memo over every base of (6,3): one h-table per (point, fixed
+    # one check's tables over every base of (6,3): one h-table per (point, fixed
     # subset), built by verify; a real staircase makes no schur_at call
     ctx = Context(6, 3)
     rng = random.Random(6)
@@ -633,10 +650,11 @@ def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
 
     monkeypatch.setattr(verify, "_h_table", counted_h_table)
     monkeypatch.setattr(symfunc, "_h_table", counted_h_table)
-    memo = {}
+    tables = _localization_tables(ctx, points)
     for base in admissible_bases(ctx):
-        assert localization_holds(ctx, base, staircase_diagrams(ctx, base).steps, points, memo)
-    stored = [(b, len(h) - 1) for _, _, cleared in memo.values() for b, _, h in cleared.values()]
+        steps = staircase_diagrams(ctx, base).steps
+        assert _localization_counterexample(ctx, base, steps, tables) is None
+    stored = [(b, len(h) - 1) for _, _, cleared in tables for b, _, h in cleared.values()]
     assert len(stored) == 3 * 20
     assert sorted(built) == sorted(stored)
     # a staircase needing a longer table rebuilds it, keeping b and q
@@ -644,10 +662,10 @@ def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
     steps = list(staircase_diagrams(ctx, base).steps)
     top = steps[-1].delta.pad(3)
     steps[-1] = StaircaseStep(Partition((top[0] + 1,) + top[1:]), steps[-1].s)
-    kept = dict(memo[0][2])
-    assert not localization_holds(ctx, base, tuple(steps), points[:1], memo)
+    kept = dict(tables[0][2])
+    assert _localization_counterexample(ctx, base, tuple(steps), tables[:1]) is not None
     fixed = (0, 1, 2)  # the first subset the check visits
-    b, q, h = memo[0][2][fixed]
+    b, q, h = tables[0][2][fixed]
     assert (b, q) == kept[fixed][:2]
     assert h == h_table(b, 7) and (b, 7) in built
 
@@ -688,12 +706,12 @@ def test_localization_matches_term_by_term_on_every_base():
         for r in range(1, min(d, 4) + 1):
             ctx = Context(d, r)
             points = [sample_point(random.Random(10 * d + r), d)]
-            memo = {}
+            tables = _localization_tables(ctx, points)
             for base in admissible_bases(ctx):
                 steps = staircase_diagrams(ctx, base).steps
                 expected = _term_by_term_counterexample(ctx, base, steps, points)
                 assert expected is None
-                assert _localization_counterexample(ctx, base, steps, points, memo) is None
+                assert _localization_counterexample(ctx, base, steps, tables) is None
 
 
 @pytest.mark.parametrize("d, r", [(6, 3), (7, 3), (8, 4)])
@@ -703,7 +721,7 @@ def test_localization_matches_term_by_term_on_mutations(d, r):
     ctx = Context(d, r)
     rng = random.Random(d * r)
     points = [sample_point(rng, d) for _ in range(2)]
-    bases, memo = admissible_bases(ctx), {}
+    bases, tables = admissible_bases(ctx), _localization_tables(ctx, points)
     kinds = {"wedge": 0, "over": 0, "off": 0}
     for _ in range(110):
         base = bases[rng.randrange(len(bases))]
@@ -716,8 +734,8 @@ def test_localization_matches_term_by_term_on_mutations(d, r):
         else:
             kinds["off"] += 1
         expected = _term_by_term_counterexample(ctx, base, steps, points)
-        assert _localization_counterexample(ctx, base, steps, points) == expected
-        assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+        assert _fresh_counterexample(ctx, base, steps, points) == expected
+        assert _localization_counterexample(ctx, base, steps, tables) == expected
     assert kinds["wedge"] >= 30 and kinds["over"] >= 5 and kinds["off"] >= 20
 
 
@@ -728,12 +746,12 @@ def test_localization_h_table_covers_the_base_rows():
     rng = random.Random(11)
     points = [sample_point(rng, 5) for _ in range(2)]
     base = Partition((3, 2))
-    memo = {}
-    assert not localization_holds(ctx, base, (), points, memo)
-    assert _localization_counterexample(ctx, base, (), points) == _term_by_term_counterexample(
+    tables = _localization_tables(ctx, points)
+    assert _localization_counterexample(ctx, base, (), tables) is not None
+    assert _fresh_counterexample(ctx, base, (), points) == _term_by_term_counterexample(
         ctx, base, (), points
     )
-    assert all(len(h) == 6 for _, _, h in memo[0][2].values())
+    assert all(len(h) == 6 for _, _, h in tables[0][2].values())
 
 
 def test_localization_long_inserted_row(monkeypatch):
@@ -748,10 +766,10 @@ def test_localization_long_inserted_row(monkeypatch):
     expected = _term_by_term_counterexample(ctx, base, steps, points)
     assert expected is not None
     calls = _count_kernels(monkeypatch, points)
-    memo = {}
-    assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+    tables = _localization_tables(ctx, points)
+    assert _localization_counterexample(ctx, base, steps, tables) == expected
     assert calls["schur_at"] == [] and calls["_bareiss"] == [3]
-    assert len(memo[0][2][(0, 1, 2)][2]) == 10
+    assert len(tables[0][2][(0, 1, 2)][2]) == 10
 
 
 def test_localization_rank_one_is_a_single_entry(monkeypatch):
@@ -768,7 +786,7 @@ def test_localization_rank_one_is_a_single_entry(monkeypatch):
                   (StaircaseStep(honest[0].delta, 3),) + honest[1:]):
         expected = _term_by_term_counterexample(ctx, base, steps, points)
         assert expected is not None
-        assert _localization_counterexample(ctx, base, steps, points) == expected
+        assert _fresh_counterexample(ctx, base, steps, points) == expected
     assert calls["schur_at"] == []
 
 
@@ -783,7 +801,7 @@ def test_localization_rank_zero_has_no_determinant(monkeypatch):
     for wedges in [(), (1,), (0,), (1, 2), (0, 3, 3)]:
         steps = tuple(StaircaseStep(empty, s) for s in wedges)
         expected = _term_by_term_counterexample(ctx, empty, steps, points)
-        assert _localization_counterexample(ctx, empty, steps, points) == expected
+        assert _fresh_counterexample(ctx, empty, steps, points) == expected
         assert (expected is None) == (wedges in [(0,), (0, 3, 3)])
     assert calls["_bareiss"] == []
     assert {args[0] for args in calls["schur_at"]} == {()}
@@ -825,22 +843,22 @@ def _fraction_counterexample(ctx, base, steps, points):
 def test_localization_integer_sum_matches_fraction_reference():
     # the integer sum over one common denominator per fixed point must give
     # the Fraction sum's counterexample, residual string included, with a
-    # fresh memo and with one memo shared by every call of a cell
+    # fresh tables and with one check's tables shared by every call of a cell
     caught = 0
     for d, r in [(3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3)]:
         ctx = Context(d, r)
         rng = random.Random(100 * d + r)
         points = [sample_point(rng, d) for _ in range(2)]
         bases = admissible_bases(ctx)
-        memo = {}
+        tables = _localization_tables(ctx, points)
         cases = [(b, staircase_diagrams(ctx, b).steps) for b in bases[:2]]
         for _ in range(55):
             base = bases[rng.randrange(len(bases))]
             cases.append((base, mutate_steps(rng, ctx, staircase_diagrams(ctx, base).steps)))
         for base, steps in cases:
             expected = _fraction_counterexample(ctx, base, steps, points)
-            assert _localization_counterexample(ctx, base, steps, points) == expected
-            assert _localization_counterexample(ctx, base, steps, points, memo) == expected
+            assert _fresh_counterexample(ctx, base, steps, points) == expected
+            assert _localization_counterexample(ctx, base, steps, tables) == expected
             caught += expected is not None
     assert caught >= 300
 
@@ -1031,7 +1049,7 @@ def _failing_reports(monkeypatch):
         yield "localization-delta", V.verify_localization(ctx, delta=(2,), samples=1, seed=2)
         yield "euler", V.verify_euler(ctx)
     with monkeypatch.context() as m:
-        m.setattr(V, "localization_holds", lambda *args: True)
+        m.setattr(V, "_localization_counterexample", lambda *args: None)
         yield "mutations", V.localization_mutation_sweep(ctx, mutations=2, seed=1)
     honest_hom = bott.hom_bundle_cohomology
 
