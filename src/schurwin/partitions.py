@@ -1,7 +1,8 @@
 """Young diagrams, GL(r) weights, canonically named window generators, and the
-one home of three exact rules other modules share: `_dotted_weyl`, Bott's
+one home of the exact rules other modules share: `_dotted_weyl`, Bott's
 dotted Weyl action, which also straightens Schur weights; `_translated`, the
-translation `canonicalize` names generators by; `_bareiss`, the integer determinant.
+translation the LR products take; `_canonical`, the label rule every generator
+is named by; `_bareiss`, the integer determinant.
 
 `Partition(...)`, `check_weight` and `canonicalize` validate their input; `Partition._trusted`,
 `_label` and `_canonical` trust it, so they take only the library's own tuples.
@@ -250,16 +251,17 @@ def canonicalize(w, det_power: int = 0) -> GeneratorLabel:
     c; the canonical representative has last weight entry zero. Idempotent on
     its own output. For the empty weight (r = 0) the label is just ((), m).
     """
-    w, n = _translated(check_weight(w))
-    return GeneratorLabel(Partition(w), det_power - n)
+    q, c = _canonical(check_weight(w), len(w))
+    return GeneratorLabel(Partition._trusted(q), det_power + c)
 
 
 def _canonical(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:
-    """The raw `_label` of trusted parts: (q, c), q + c = parts padded to r, q's r-th entry 0."""
+    """The label rule's one body: (q, c), q + c = trusted parts padded to r, q's r-th entry 0;
+    q is the parts less their last entry, cut where it first occurs (fewer than r: c = 0)."""
     if len(parts) < r or not parts:
         return parts, 0
     last = parts[-1]
-    return _strip(tuple([x - last for x in parts])), last
+    return tuple([x - last for x in parts[:parts.index(last)]]), last
 
 
 def _label(p: Partition, r: int, m: int) -> GeneratorLabel:

@@ -12,10 +12,10 @@ collapsed, and an inherited wedge factor may be folded into the copy count.
 The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 `shift_*_generator` are `general_shift` over one step, which reads each image from staircase
-rows (`_image_rows`) once per call; an image checks only the caller's generator, its staircase
-rows and labels are trusted. A caller's `k_matrix` memo keeps one table per Context, under it:
-the untwisted unit-step images, the windows (W_k under k) and the entries of every unit step and
-fold M_kj (under (k, j)); a call resumes from the longest fold from its source the table holds.
+rows (`_image_rows`) once per call, each row named by `_canonical`; an image checks only the
+caller's generator. A caller's `k_matrix` memo keeps one table per Context: the untwisted
+unit-step images, the windows (W_k under k) and the entries of every unit step and fold M_kj
+(under (k, j)); a call resumes from the longest fold from its source the table holds.
 """
 
 from __future__ import annotations
@@ -83,21 +83,16 @@ def shift_up_generator(ctx: Context, g: GeneratorLabel, keep_det: bool = False) 
 
 def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_det: bool):
     """Rows (degree, canonical parts, det power, ext) of the image of the trusted label (parts, m)
-    in W_src less W_dst. Down: its weight is a top; the staircase below it, left-most term in
-    degree 0. Up: its weight is a base; the full staircase over it, right-most term in degree 0,
-    the top's wedge^d V trivialized away (det V ~ C) unless keep_det is set. A staircase row has
-    r positive parts, so its label is (row less its last entry, stripped; last); the down image's
-    base row has fewer and keeps `_canonical`."""
+    in W_src less W_dst, each named by `_canonical`. Down: its weight is a top; the staircase
+    below it, then its base, left-most term in degree 0. Up: its weight is a base; the full
+    staircase over it, right-most term in degree 0, the top's wedge^d V trivialized away
+    (det V ~ C) unless keep_det is set."""
     w = Partition._trusted(_strip(tuple([x + m for x in parts]) + (m,) * (ctx.r - len(parts))))
     base, d = base_from_top(ctx, w) if down else w, ctx.d
     steps = staircase_diagrams(ctx, base).steps[-1 - down::-1]  # reversed; down: less the top
-    rows = [(i, tuple([x - last for x in q[:q.index(last)]]), last,
-             0 if s == d and not keep_det else s)
-            for i, (p, s) in enumerate(steps, 0 if down else 1 - len(steps))
-            for q in (p.parts,) for last in q[-1:]]
-    if down:
-        rows.append((len(rows), *_canonical(base.parts, ctx.r), 0))
-    return rows
+    terms = [*steps, (base, 0)] if down else steps
+    return [(i, *_canonical(p.parts, ctx.r), 0 if s == d and not keep_det else s)
+            for i, (p, s) in enumerate(terms, 0 if down else 1 - len(terms))]
 
 
 def _unit_step(ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, memo) -> TermComplex:

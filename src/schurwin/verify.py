@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import mul
 
 from .bott import HomogeneousWeight, euler_character, hom_sweep
@@ -133,23 +133,24 @@ def _over_base(mu, rows):
 
 
 def _localization_tables(ctx: Context, points) -> list:
-    """An empty table (point, {s: e_s(t)}, {fixed subset: (b, q, h)}) per point, for one check
-    to fill; no point, or a point without d nonzero coordinates: ShapeError."""
-    tables = [(tuple(t), {}, {}) for t in points]
-    if not tables or any(len(t) != ctx.d or not all(t) for t, _, _ in tables):
+    """A table (c, p, {s: int e_s(c), s = 0..d}, {fixed subset: (b, q, h)}, empty) per point
+    t = c / p (`_cleared`); no point, or one without d nonzero coordinates: ShapeError."""
+    cleared = [_cleared(t) for t in points]
+    if not cleared or any(len(c) != ctx.d or not all(c) for c, _ in cleared):
+        shown = [[str(Fraction(b, p)) for b in c] for c, p in cleared]
         raise ShapeError(f"localization needs one or more points, each of d={ctx.d} nonzero "
-                         f"coordinates, not {[[*map(str, t)] for t, _, _ in tables]}")
-    return tables
+                         f"coordinates, not {shown}")
+    return [(c, p, {s: int(elementary_at(c, s)) for s in range(ctx.d + 1)}, {}) for c, p in cleared]
 
 
 def _localization_counterexample(ctx, base, steps, tables):
     """First fixed point where the alternating sum is nonzero, or None.
 
-    The sum is taken over the integers. With q_t the lcm of the point's
-    denominators, S the largest wedge exponent, M the largest diagram size
-    and the inverted subset coordinates y = b / q over the integers, term n
-    is (-1)^n e_s(t) q_t^S * schur_at(mu, b) q^(M - |mu|); schur_at(mu, b) =
-    schur_at(mu, y) q^|mu|, and a nonzero sum over q_t^S q^M is the residual.
+    The sum is taken over the integers. With the point t = c / p cleared, S
+    the largest wedge exponent, M the largest diagram size and the inverted
+    subset coordinates y = b / q over the integers, term n is (-1)^n e_s(c)
+    p^(S - s) * schur_at(mu, b) q^(M - |mu|): e_s(t) p^S = e_s(c) p^(S - s) and
+    schur_at(mu, b) = schur_at(mu, y) q^|mu|, so a nonzero sum over p^S q^M is the residual.
     A staircase term's offsets mu_i - i are the base's first r - 1 offsets a
     with one x inserted at place p, so its Jacobi-Trudi determinant is
     (-1)^(r - 1 - p) det of the rows (h_(a + j))_j over (h_(x + j))_j, h_m = 0
@@ -157,9 +158,9 @@ def _localization_counterexample(ctx, base, steps, tables):
     sum exactly into one `_bareiss` over one combined row. Any other term, such as a
     corrupted one, is its own `schur_at(mu, b)`, which builds its own h-table. A zero
     sum is a necessary condition for exactness only. `tables` (`_localization_tables`) has
-    one table per point, which carries its point; a call adds each e_s(t) it lacks and, per
-    fixed subset, (b, q, h), h = `_h_table(b, m)`, m = max mu_1 + r - 1 over the diagrams so
-    far, the last index a row reads.
+    one table per point, which carries its cleared point and its e_s(c), 0 for s past 0..d; a
+    call adds, per fixed subset, (b, q, h), h = `_h_table(b, m)`, m = max mu_1 + r - 1 over
+    the diagrams so far, the last index a row reads.
     """
     r, d = ctx.r, ctx.d
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
@@ -171,22 +172,20 @@ def _localization_counterexample(ctx, base, steps, tables):
     pad = (0,) * (r - 1)  # every offset is at least 1 - r
     wedges = [0] + [st.s for st in steps]  # the base carries e_0 = 1
     top_s, top_m = max(wedges), max(sizes)
-    for t, es, cleared in tables:
-        es.update((s, elementary_at(t, s)) for s in set(wedges) - es.keys())
-        scale = lcm(*(x.denominator for x in t)) ** top_s
-        coeffs = [(-1) ** n * sign * es[s].numerator * (scale // es[s].denominator)
+    for c, p, es, cleared in tables:
+        coeffs = [(-1) ** n * sign * es.get(s, 0) * p ** (top_s - s)
                   for n, (s, sign) in enumerate(zip(wedges, signs))]
         for fixed in combinations(range(d), r):
-            b, q, h = cleared.get(fixed) or (*_cleared([Fraction(1) / t[i] for i in fixed]), ())
+            b, q, h = cleared.get(fixed) or (*_cleared([Fraction(p, c[i]) for i in fixed]), ())
             if len(h) <= top_h:  # new, or too short for this staircase
                 cleared[fixed] = (b, q, (h := _h_table(b, top_h)))
             hz = pad + h  # hz[m + r - 1] = h_m, with h_m = 0 for m < 0
             total, weights, segments = 0, [], []
-            for mu, size, c, hit in zip(diagrams, sizes, coeffs, over):
+            for mu, size, coef, hit in zip(diagrams, sizes, coeffs, over):
                 if hit is None:
-                    total += c * schur_at(mu, b) * q ** (top_m - size)
+                    total += coef * schur_at(mu, b) * q ** (top_m - size)
                 else:
-                    weights.append(c * q ** (top_m - size))
+                    weights.append(coef * q ** (top_m - size))
                     segments.append(hz[hit[0] + r - 1 : hit[0] + 2 * r - 1])
             if r:  # the base's r - 1 rows over the combined row
                 mat = [list(hz[a + r - 1 : a + 2 * r - 1]) for a in rows]
@@ -195,8 +194,8 @@ def _localization_counterexample(ctx, base, steps, tables):
                 return {
                     "delta": list(base.parts),
                     "fixedPoint": [i + 1 for i in fixed],
-                    "point": [str(x) for x in t],
-                    "residual": str(Fraction(total, scale * q**top_m)),
+                    "point": [str(Fraction(x, p)) for x in c],
+                    "residual": str(Fraction(total, p**top_s * q**top_m)),
                     "steps": [[list(st.delta.parts), st.s] for st in steps],
                 }
     return None
@@ -408,27 +407,30 @@ def _relation_failures(mats, dets, ks):
 def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: the identity shift, unimodularity,
     composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
-    and det-conjugation. Stops at the first failure; an empty `k_range`, or past MATRIX_LIMIT,
-    raises ShapeError before any K-matrix.
+    and det-conjugation. Stops at the first failure; an empty `k_range`, one that repeats a
+    window, or past MATRIX_LIMIT, raises ShapeError before any K-matrix.
 
     Every M_kl is read from `k_matrix` through one memo, which builds each unit step U once
     per direction and multiplies each fold once. det M_kl is the product of the exact det U
-    on its way, each U's taken once: each U peels to nothing. Every level reads the same
-    untwisted unit-step image, so det-conjugation keeps its strength: it tests each level's
-    `_unit_step` and untwisted indexing.
+    on its way, each U's taken once: each U peels to nothing; M_kk's empty way gives 1, and the
+    identity relation, checked first, decides M_kk. Every level reads the same untwisted
+    unit-step image, so det-conjugation keeps its strength: it tests each level's `_unit_step`
+    and untwisted indexing.
     """
     t0 = time.perf_counter()
     ks, memo, unit_dets, dets = sorted(k_range), {}, {}, {}
     if not ks:
         raise ShapeError("k_range names no window")
+    if len(set(ks)) < len(ks):
+        raise ShapeError(f"k_range repeats a window: {ks}")
     mats = {(k, l): k_matrix(ctx, k, l, memo) for k in ks for l in ks}
-    for (k, l), m in mats.items():
+    for k, l in mats:
         step = 1 if l > k else -1
         path = [(j, j + step) for j in range(k, l, step)]
         for kj in path:
             if kj not in unit_dets:
                 unit_dets[kj] = k_matrix(ctx, *kj, memo).determinant()
-        dets[(k, l)] = prod(unit_dets[kj] for kj in path) if path else m.determinant()
+        dets[(k, l)] = prod(unit_dets[kj] for kj in path)
     return _report(
         "relations",
         {

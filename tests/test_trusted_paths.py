@@ -43,7 +43,7 @@ def test_staircase_rows_equal_validated_partitions():
             for base in admissible_bases(ctx):
                 for st in staircase_diagrams(ctx, base).steps:
                     assert_valid(st.delta)
-                    # `_image_rows` reads each row's canonical label off its last entry
+                    # a staircase property: every row has exactly r positive parts
                     assert len(st.delta) == r and st.delta.parts[-1] > 0, (d, r, base, st)
                     steps += 1
     # every admissible base has d - r + 1 steps
@@ -200,7 +200,8 @@ class Uses(ast.NodeVisitor):
 def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
     # trust never reaches user input: the unchecked constructors run only on
     # staircase rows, a top's shortened tail, box partitions, a checked
-    # generator's weight, and a skeleton's nodes, which are canonical staircase
+    # generator's weight, a `check_weight`-checked weight less its last entry
+    # (`canonicalize`), and a skeleton's nodes, which are canonical staircase
     # rows or the checked generator's own partition
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -212,6 +213,8 @@ def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
         ("partitions.py", "_label", "Partition._trusted"),
         ("partitions.py", "_label", "_canonical"),
         ("partitions.py", "box_partitions", "Partition._trusted"),
+        ("partitions.py", "canonicalize", "Partition._trusted"),
+        ("partitions.py", "canonicalize", "_canonical"),
         ("shifts.py", "_image_rows", "Partition._trusted"),
         ("shifts.py", "_image_rows", "_canonical"),
         ("shifts.py", "general_shift", "Partition._trusted"),

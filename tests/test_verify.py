@@ -176,6 +176,36 @@ def test_localization_refuses_bad_points(points):
         localization_holds(ctx, base, steps, points)
 
 
+@pytest.mark.parametrize("text, exact", [
+    pytest.param(("1", 2, 3, 4), (Fraction(1), 2, 3, 4), id="str-int"),
+    pytest.param(("1/2", "3/5", "-7/4", "2"), tuple(map(Fraction, ("1/2", "3/5", "-7/4", "2"))),
+                 id="str-fractions"),
+    pytest.param((Fraction(2, 3), "5/7", 4, "9/11"), (Fraction(2, 3), Fraction(5, 7), 4,
+                 Fraction(9, 11)), id="mixed"),
+])
+def test_localization_takes_str_coordinates(text, exact):
+    # `_cleared` takes str coordinates, and every point goes through it: a str
+    # point gives its Fraction twin's verdict, witness point and residual
+    ctx, base = Context(4, 2), Partition((1,))
+    honest = staircase_diagrams(ctx, base).steps
+    bad = (StaircaseStep(honest[0].delta, honest[0].s + 1),) + honest[1:]
+    assert localization_holds(ctx, base, honest, [text])
+    assert localization_holds(ctx, base, honest, [exact])
+    assert not localization_holds(ctx, base, bad, [text])
+    ce = _fresh_counterexample(ctx, base, bad, [text])
+    assert ce is not None and ce == _fresh_counterexample(ctx, base, bad, [exact])
+    assert ce["point"] == [str(Fraction(x)) for x in exact]
+
+
+def test_localization_refuses_a_float_coordinate():
+    ctx, base = Context(4, 2), Partition((1,))
+    steps = staircase_diagrams(ctx, base).steps
+    with pytest.raises(TypeError, match="is a float"):
+        localization_holds(ctx, base, steps, [(1, 2.0, 3, 4)])
+    with pytest.raises(TypeError, match="is a float"):
+        _localization_tables(ctx, [(1, 2, 3, 4), ("1", 2, 3, 0.5)])
+
+
 def test_localization_catches_corruption():
     ctx = Context(4, 2)
     rng = random.Random(1)
@@ -427,6 +457,16 @@ def test_relations_refuse_an_empty_k_range(monkeypatch, k_range):
     assert built == []
 
 
+@pytest.mark.parametrize("k_range", [[0, 0], [1, 2, 1]])
+def test_relations_refuse_a_repeated_k(monkeypatch, k_range):
+    # [0, 0] passed with kRange [0, 0], checking every triple twice
+    built = []
+    monkeypatch.setattr(verify, "k_matrix", lambda *args: built.append(args))
+    with pytest.raises(ShapeError, match="k_range repeats a window"):
+        verify_relations(Context(4, 2), k_range)
+    assert built == []
+
+
 def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
     # M_kk built wrong: -1 in its first entry keeps it unimodular, so only
     # the identity relation can fail first
@@ -445,14 +485,14 @@ def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
 
 
 @pytest.mark.parametrize("k_range, products, determinants", [
-    pytest.param(range(-2, 3), 22, 13, id="k_range0-22"),
-    pytest.param([0, 2], 3, 6, id="k_range1-3"),
-    pytest.param([-3, 0, 3], 17, 15, id="k_range2-17"),
+    pytest.param(range(-2, 3), 22, 8, id="k_range0-22"),
+    pytest.param([0, 2], 3, 4, id="k_range1-3"),
+    pytest.param([-3, 0, 3], 17, 12, id="k_range2-17"),
 ])
 def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products, determinants):
     # the fold, plus one round-trip product M_lo,hi @ M_hi,lo per unordered pair {a, l}
     # that some triple (k, l, m) with l outside [k, m] and a = k or m needs; one
-    # determinant per unit step on the walk and per identity, none of a composed matrix
+    # determinant per unit step on the walk, none of an identity or a composed matrix
     count = {"_mat_mul": 0, "int_determinant": 0}
     for name in count:
 
@@ -540,8 +580,15 @@ def test_localization_counterexample_bytes_pinned():
     assert ce["residual"] == "38515738378460816025/98196982796288"
 
 
+def _cleared_by_lcm(t):
+    """(c, p) with t = c / p over the integers, p the lcm of t's denominators."""
+    p = lcm(*(x.denominator for x in t))
+    return tuple(x.numerator * (p // x.denominator) for x in t), p
+
+
 def test_localization_memo_shared_across_calls():
     # one check's tables, shared by every base: each point's table holds its point
+    # cleared to c / p and e_0..e_d at c as ints, e_s(c) = e_s(t) p^s
     ctx = Context(4, 2)
     rng = random.Random(2)
     points = [sample_point(rng, 4) for _ in range(2)]
@@ -550,11 +597,14 @@ def test_localization_memo_shared_across_calls():
         steps = staircase_diagrams(ctx, base).steps
         assert _localization_counterexample(ctx, base, steps, tables) is None
     assert len(tables) == 2
-    for p, (t, es, cleared) in enumerate(tables):
-        assert t == points[p]
-        assert es
+    for t, (c, p, es, cleared) in zip(points, tables):
+        assert (c, p) == _cleared_by_lcm(t)
+        assert tuple(Fraction(x, p) for x in c) == t
+        assert {type(x) for x in c} == {type(p)} == {int}
+        assert sorted(es) == list(range(5))
         for s, value in es.items():
-            assert value == elementary_at(t, s)
+            assert type(value) is int
+            assert value == elementary_at(t, s) * p**s
         assert sorted(cleared) == list(combinations(range(4), 2))
         for fixed, (b, q, h) in cleared.items():
             y = tuple(1 / t[i] for i in fixed)
@@ -575,14 +625,15 @@ def _one_row_over(mu, base, r):
 
 def _count_kernels(monkeypatch, points):
     calls = {"schur_at": [], "elementary_at": [], "_bareiss": []}
+    cleared = [_cleared_by_lcm(t)[0] for t in points]  # elementary_at sees the cleared points
 
     def counted_schur(*args):
         calls["schur_at"].append(args)
         return schur_at(*args)
 
-    def counted_elementary(t, s):
-        calls["elementary_at"].append((points.index(t), s))
-        return elementary_at(t, s)
+    def counted_elementary(c, s):
+        calls["elementary_at"].append((cleared.index(c), s))
+        return elementary_at(c, s)
 
     def counted_bareiss(mat):
         calls["_bareiss"].append(len(mat))
@@ -597,20 +648,22 @@ def _count_kernels(monkeypatch, points):
 def test_localization_evaluates_each_value_once(monkeypatch):
     # one check's tables over every base of (6,3): one size-r determinant per (point,
     # fixed subset, base), no schur_at for a real staircase, whose every term
-    # is one row over its base, and one elementary_at per (point, s)
+    # is one row over its base, and one elementary_at per (point, s), s = 0..d, all
+    # made when the tables are built
     ctx = Context(6, 3)
     rng = random.Random(6)
     points = [sample_point(rng, 6) for _ in range(3)]
     calls = _count_kernels(monkeypatch, points)
-    tables, wedges, bases = _localization_tables(ctx, points), set(), admissible_bases(ctx)
+    tables, bases = _localization_tables(ctx, points), admissible_bases(ctx)
+    built = [(p, s) for p in range(3) for s in range(7)]
+    assert calls["elementary_at"] == built
     for base in bases:
         steps = staircase_diagrams(ctx, base).steps
         assert _localization_counterexample(ctx, base, steps, tables) is None
         assert all(_one_row_over(st.delta.pad(3), base, 3) for st in steps)
-        wedges.update((p, s) for p in range(3) for s in [0] + [st.s for st in steps])
     assert calls["_bareiss"] == [3] * (len(bases) * 3 * 20)
     assert calls["schur_at"] == []
-    assert sorted(calls["elementary_at"]) == sorted(wedges)
+    assert calls["elementary_at"] == built
     # a corrupted staircase: schur_at exactly for the terms not over the
     # base, one per (point, subset) visited, each at its integer point
     rng = random.Random(7)
@@ -633,7 +686,7 @@ def test_localization_evaluates_each_value_once(monkeypatch):
             assert {type(x) for x in args[0] + args[1]} == {int}
         seen += bool(off)
     assert seen >= 10
-    assert sorted(calls["elementary_at"]) == sorted(set(calls["elementary_at"]))
+    assert calls["elementary_at"] == built
 
 
 def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
@@ -654,7 +707,7 @@ def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
     for base in admissible_bases(ctx):
         steps = staircase_diagrams(ctx, base).steps
         assert _localization_counterexample(ctx, base, steps, tables) is None
-    stored = [(b, len(h) - 1) for _, _, cleared in tables for b, _, h in cleared.values()]
+    stored = [(b, len(h) - 1) for *_, cleared in tables for b, _, h in cleared.values()]
     assert len(stored) == 3 * 20
     assert sorted(built) == sorted(stored)
     # a staircase needing a longer table rebuilds it, keeping b and q
@@ -662,10 +715,10 @@ def test_localization_builds_one_h_table_per_point_and_subset(monkeypatch):
     steps = list(staircase_diagrams(ctx, base).steps)
     top = steps[-1].delta.pad(3)
     steps[-1] = StaircaseStep(Partition((top[0] + 1,) + top[1:]), steps[-1].s)
-    kept = dict(tables[0][2])
+    kept = dict(tables[0][3])
     assert _localization_counterexample(ctx, base, tuple(steps), tables[:1]) is not None
     fixed = (0, 1, 2)  # the first subset the check visits
-    b, q, h = tables[0][2][fixed]
+    b, q, h = tables[0][3][fixed]
     assert (b, q) == kept[fixed][:2]
     assert h == h_table(b, 7) and (b, 7) in built
 
@@ -751,7 +804,7 @@ def test_localization_h_table_covers_the_base_rows():
     assert _fresh_counterexample(ctx, base, (), points) == _term_by_term_counterexample(
         ctx, base, (), points
     )
-    assert all(len(h) == 6 for _, _, h in tables[0][2].values())
+    assert all(len(h) == 6 for _, _, h in tables[0][3].values())
 
 
 def test_localization_long_inserted_row(monkeypatch):
@@ -769,7 +822,7 @@ def test_localization_long_inserted_row(monkeypatch):
     tables = _localization_tables(ctx, points)
     assert _localization_counterexample(ctx, base, steps, tables) == expected
     assert calls["schur_at"] == [] and calls["_bareiss"] == [3]
-    assert len(tables[0][2][(0, 1, 2)][2]) == 10
+    assert len(tables[0][3][(0, 1, 2)][2]) == 10
 
 
 def test_localization_rank_one_is_a_single_entry(monkeypatch):
@@ -792,17 +845,17 @@ def test_localization_rank_one_is_a_single_entry(monkeypatch):
 
 def test_localization_rank_zero_has_no_determinant(monkeypatch):
     # r = 0: one empty fixed subset, every term is s_() = 1 through schur_at,
-    # and the sum is the alternating sum of e_s(t)
+    # and the sum is the alternating sum of e_s(t), 0 for s outside 0..d
     ctx = Context(3, 0)
     rng = random.Random(14)
     points = [sample_point(rng, 3) for _ in range(2)]
     empty = Partition(())
     calls = _count_kernels(monkeypatch, points)
-    for wedges in [(), (1,), (0,), (1, 2), (0, 3, 3)]:
+    for wedges in [(), (1,), (0,), (1, 2), (0, 3, 3), (0, 4), (-1,)]:
         steps = tuple(StaircaseStep(empty, s) for s in wedges)
         expected = _term_by_term_counterexample(ctx, empty, steps, points)
         assert _fresh_counterexample(ctx, empty, steps, points) == expected
-        assert (expected is None) == (wedges in [(0,), (0, 3, 3)])
+        assert (expected is None) == (wedges in [(0,), (0, 3, 3), (0, 4)])
     assert calls["_bareiss"] == []
     assert {args[0] for args in calls["schur_at"]} == {()}
 
