@@ -249,10 +249,11 @@ def canonicalize(w, det_power: int = 0) -> GeneratorLabel:
 
     (w, m) and (w + c*(1,...,1), m - c) name the same bundle for every integer
     c; the canonical representative has last weight entry zero. Idempotent on
-    its own output. For the empty weight (r = 0) the label is just ((), m).
+    its own output. For the empty weight (r = 0) the label is just ((), m). A det_power
+    that is not an integer (`operator.index`): TypeError.
     """
     q, c = _canonical(check_weight(w), len(w))
-    return GeneratorLabel(Partition._trusted(q), det_power + c)
+    return GeneratorLabel(Partition._trusted(q), index(det_power) + c)
 
 
 def _canonical(parts: tuple[int, ...], r: int) -> tuple[tuple[int, ...], int]:

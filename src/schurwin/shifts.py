@@ -13,9 +13,10 @@ The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 `shift_*_generator` are `general_shift` over one step, which reads each image from staircase
 rows (`_image_rows`) once per call, each row named by `_canonical`; an image checks only the
-caller's generator. A caller's `k_matrix` memo keeps one table per Context: the untwisted
-unit-step images, the windows (W_k under k) and the entries of every unit step and fold M_kj
-(under (k, j)); a call resumes from the longest fold from its source the table holds.
+caller's generator. W_k is W_0 twisted by det^k, listed in the same order, and the twist
+commutes with the shift, so every unit step M_k,k∓1 is one matrix U per direction
+(`_unit_step`) and M_kl is a power of it: det-conjugation holds by construction. A caller's
+`k_matrix` memo keeps one table per Context, each power U^j under (downward, j).
 """
 
 from __future__ import annotations
@@ -95,17 +96,13 @@ def _image_rows(ctx: Context, parts: tuple[int, ...], m: int, down: bool, keep_d
             for i, (p, s) in enumerate(terms, 0 if down else 1 - len(terms))]
 
 
-def _unit_step(ctx: Context, g: GeneratorLabel, from_k: int, to_k: int, memo) -> TermComplex:
-    """One-step shift between adjacent windows, via det-twist conjugation: the
-    W_1 -> W_0 or W_0 -> W_1 image of g untwisted by det^t, t = min(from_k, to_k), from
-    `shift_*_generator` (`general_shift` over one step), kept under (untwisted label, downward)
-    in `memo`, `k_matrix`'s table for ctx. Not twisted back: its det powers are less t."""
-    if abs(from_k - to_k) != 1:
-        raise ShapeError("unit step requires adjacent windows")
-    down, g0 = to_k < from_k, GeneratorLabel(g.delta, g.det_power - min(from_k, to_k))
-    if (key := (g0, down)) not in memo:
-        memo[key] = shift_down_generator(ctx, g0) if down else shift_up_generator(ctx, g0)
-    return memo[key]
+def _unit_step(ctx: Context, down: bool) -> tuple[tuple[int, ...], ...]:
+    """The entries of U = M_10 (down) or M_01: one `k_class` row per source generator, its
+    `shift_*_generator` image in the target basis. Each of W_1 and W_0 is listed once."""
+    w1, w0 = enumerate_window(ctx, 1), enumerate_window(ctx, 0)
+    src, dst, shift = (w1, w0, shift_down_generator) if down else (w0, w1, shift_up_generator)
+    index = {g: i for i, g in enumerate(dst)}
+    return tuple(k_class(ctx, shift(ctx, g), dst, index) for g in src)
 
 
 def general_shift(
@@ -268,37 +265,21 @@ def int_determinant(rows) -> int:
 
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
-    """K-class matrix M_kl = U_k,k±1 @ ... @ U_l∓1,l of the window shift, the left fold of its
-    unit steps U. The caller owns `memo`, if given; its table `memo[ctx]` keeps the untwisted
-    images (`_unit_step`), windows (W_k under k) and every unit step's and fold M_kj's entries
-    under (k, j). A call resumes from the longest fold from `from_k` the table holds. A unit
-    step indexes its target basis by untwisted label, so `k_class` reads the shared images as
-    they are. Past MATRIX_LIMIT generators: ShapeError, before any image; k -> k: the identity."""
+    """K-class matrix M_kl = U^|l - k|, U the unit step (`_unit_step`) in l's direction. The
+    caller owns `memo`, if given; its table `memo[ctx]` keeps each power U^j under (downward, j),
+    U^j = U^(j-1) @ U, and a call resumes from the highest power it holds. Past MATRIX_LIMIT
+    generators: ShapeError, before any image; k -> k: the identity."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
-    memo = ({} if memo is None else memo).setdefault(ctx, {})
     if from_k == to_k:
         return KMatrix(ctx, from_k, to_k, _identity_rows(n))
-    step, current = -1 if to_k < from_k else 1, to_k
-    while current != from_k and (from_k, current) not in memo:
-        current -= step
-    entries = memo.get((from_k, current))  # None: no fold from `from_k` held
-    while current != to_k:
-        nxt = current + step
-        if (current, nxt) not in memo:
-            for k in (current, nxt):
-                if k not in memo:
-                    memo[k] = enumerate_window(ctx, k)
-            b_from, b_to, twist = memo[current], memo[nxt], min(current, nxt)
-            index = {GeneratorLabel(g.delta, g.det_power - twist): i for i, g in enumerate(b_to)}
-            memo[current, nxt] = tuple(
-                k_class(ctx, _unit_step(ctx, g, current, nxt, memo), b_to, index)
-                for g in b_from
-            )
-        unit = memo[current, nxt]
-        entries = memo[from_k, nxt] = unit if entries is None else _mat_mul(entries, unit)
-        current = nxt
-    return KMatrix(ctx, from_k, to_k, entries)
+    powers, down = ({} if memo is None else memo).setdefault(ctx, {}), to_k < from_k
+    if (down, 1) not in powers:
+        powers[down, 1] = _unit_step(ctx, down)
+    for j in range(2, abs(to_k - from_k) + 1):
+        if (down, j) not in powers:
+            powers[down, j] = _mat_mul(powers[down, j - 1], powers[down, 1])
+    return KMatrix(ctx, from_k, to_k, powers[down, abs(to_k - from_k)])
 
 
 def cotwist_shift_amount(ctx: Context) -> int:

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
-from math import comb, prod
+from math import comb
 from operator import mul
 
 from .bott import HomogeneousWeight, euler_character, hom_sweep
@@ -408,29 +408,26 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     """Matrix-level shift relations: the identity shift, unimodularity,
     composition (by the fold for l in [k, m], else by a round trip a -> l -> a)
     and det-conjugation. Stops at the first failure; an empty `k_range`, one that repeats a
-    window, or past MATRIX_LIMIT, raises ShapeError before any K-matrix.
+    window or names one by a non-int (bool included), or past MATRIX_LIMIT, raises ShapeError
+    before any K-matrix.
 
-    Every M_kl is read from `k_matrix` through one memo, which builds each unit step U once
-    per direction and multiplies each fold once. det M_kl is the product of the exact det U
-    on its way, each U's taken once: each U peels to nothing; M_kk's empty way gives 1, and the
-    identity relation, checked first, decides M_kk. Every level reads the same untwisted
-    unit-step image, so det-conjugation keeps its strength: it tests each level's `_unit_step`
-    and untwisted indexing.
+    Every M_kl is read from `k_matrix` through one memo: a power of the unit step U in its
+    direction, each U built once and each power multiplied once. So det M_kl = (det U)^|l - k|,
+    det U taken once per direction, and det-conjugation holds by construction; what this
+    certifies is det U = ±1 and U_up @ U_down = I. The per-level tests of `k_matrix` against
+    `general_shift`, which twists at each level, check the det twist itself.
     """
     t0 = time.perf_counter()
-    ks, memo, unit_dets, dets = sorted(k_range), {}, {}, {}
+    ks, memo = sorted(k_range), {}
     if not ks:
         raise ShapeError("k_range names no window")
+    if not all(type(k) is int for k in ks):
+        raise ShapeError(f"k_range names a window by a non-int: {ks}")
     if len(set(ks)) < len(ks):
         raise ShapeError(f"k_range repeats a window: {ks}")
     mats = {(k, l): k_matrix(ctx, k, l, memo) for k in ks for l in ks}
-    for k, l in mats:
-        step = 1 if l > k else -1
-        path = [(j, j + step) for j in range(k, l, step)]
-        for kj in path:
-            if kj not in unit_dets:
-                unit_dets[kj] = k_matrix(ctx, *kj, memo).determinant()
-        dets[(k, l)] = prod(unit_dets[kj] for kj in path)
+    det_u = [k_matrix(ctx, 1 - up, up, memo).determinant() for up in (0, 1)] if ks[1:] else [1]
+    dets = {(k, l): det_u[l > k] ** abs(l - k) for k, l in mats}
     return _report(
         "relations",
         {

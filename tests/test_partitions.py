@@ -80,6 +80,16 @@ def test_canonicalize_known_values():
     assert canonicalize((), 5) == GeneratorLabel(Partition(()), 5)
 
 
+@pytest.mark.parametrize("det_power", [1.5, Fraction(1), 1.0, "1"])
+def test_canonicalize_refuses_a_non_integer_det_power(det_power):
+    # 1.5 gave a label with det_power 1.5, refused only by a later `in_window`
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        canonicalize((1, 0), det_power)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        canonicalize((), det_power)
+    assert canonicalize((1, 0), 1) == GeneratorLabel(Partition((1,)), 1)
+
+
 def test_canonicalize_idempotent():
     # for r >= 1 the label's full weight carries the det power, so
     # re-canonicalizing it with m = 0 must reproduce the label exactly

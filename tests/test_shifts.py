@@ -92,13 +92,6 @@ def test_shift_up_rejects_outsiders():
         shift_up_generator(ctx, g)
 
 
-def test_unit_step_needs_adjacent_windows():
-    ctx = Context(4, 2)
-    for from_k, to_k in ((0, 2), (1, 1), (2, 0)):
-        with pytest.raises(ShapeError, match="adjacent windows"):
-            _unit_step(ctx, canonicalize((1, 0)), from_k, to_k, {})
-
-
 def test_k_matrices_of_mismatched_windows_do_not_compose():
     ctx = Context(4, 2)
     down = k_matrix(ctx, 1, 0)
@@ -430,8 +423,8 @@ def test_mat_mul_matches_naive_triple_loop():
 
 
 def untwisted_step(ctx, g, from_k, to_k, keep_det):
-    """The unit step's image as `_unit_step` builds it, with wedge^d V kept if asked: the
-    one-step shift of g untwisted by det^min(from_k, to_k)."""
+    """The one-step shift of g untwisted by det^min(from_k, to_k), with wedge^d V kept if
+    asked: a row of the unit step U as `_unit_step` reads it."""
     g0 = GeneratorLabel(g.delta, g.det_power - min(from_k, to_k))
     return shift_down_generator(ctx, g0) if to_k < from_k else shift_up_generator(ctx, g0, keep_det)
 
@@ -649,16 +642,19 @@ def test_relations_build_each_untwisted_image_once(monkeypatch, d, r, images):
 @pytest.mark.parametrize("d, r", [(5, 2), (6, 3), (7, 3)])
 def test_unit_step_with_shared_memo_matches_memo_free(d, r):
     # one memo over every level and direction gives what a fresh memo per call
-    # gives, the one-step shift of the untwisted label
+    # gives, U: the k-classes of the one-step shifts of the untwisted labels
     ctx, memo = Context(d, r), {}
     for k in range(-3, 4):
-        for g in enumerate_window(ctx, k):
-            for to_k in (k - 1, k + 1):
-                got = _unit_step(ctx, g, k, to_k, memo)
-                assert got == _unit_step(ctx, g, k, to_k, {}), (g, k, to_k)
-                assert got == untwisted_step(ctx, g, k, to_k, False), (g, k, to_k)
-    # one image per generator of W_1 (down) and of W_0 (up)
-    assert len(memo) == 2 * comb(d, r)
+        for to_k in (k - 1, k + 1):
+            got = k_matrix(ctx, k, to_k, memo)
+            assert got == k_matrix(ctx, k, to_k), (k, to_k)
+            assert got.entries == _unit_step(ctx, to_k < k), (k, to_k)
+            twist = min(k, to_k)
+            target = enumerate_window(ctx, to_k - twist)
+            for g, row in zip(enumerate_window(ctx, k), got.entries, strict=True):
+                assert k_class(ctx, untwisted_step(ctx, g, k, to_k, False), target) == row
+    # one U per direction
+    assert memo[ctx] == {(True, 1): _unit_step(ctx, True), (False, 1): _unit_step(ctx, False)}
 
 
 def test_general_shift_identity_and_single_step():
@@ -745,11 +741,18 @@ def test_cotwist_shift_amount():
 
 
 def test_k_matrix_translation_invariance():
-    # unit steps at any level reduce to the same integer matrix
-    ctx = Context(4, 2)
-    base_down = k_matrix(ctx, 1, 0).entries
-    for k in (-2, 0, 3):
-        assert k_matrix(ctx, k + 1, k).entries == base_down
+    # `k_matrix` reads every level's unit step off one U per direction; `general_shift`
+    # twists each level itself, so this checks that W_k is W_0 twisted by det^k, listed in
+    # the same order, and that the twist commutes with the shift
+    for d in range(1, 8):
+        for r in range(d + 1):
+            ctx = Context(d, r)
+            for k in range(-3, 4):
+                for to_k in (k - 1, k + 1):
+                    target = enumerate_window(ctx, to_k)
+                    rows = tuple(k_class(ctx, general_shift(ctx, k, to_k, g), target)
+                                 for g in enumerate_window(ctx, k))
+                    assert k_matrix(ctx, k, to_k).entries == rows, (d, r, k, to_k)
 
 
 def test_k_matrix_memo_is_bound_to_one_context():
@@ -808,25 +811,27 @@ def count_windows(monkeypatch):
 
 
 def test_k_matrix_memo_lists_each_window_once(monkeypatch):
+    # each U lists W_1 and W_0 once; no level lists its own window
     listed = count_windows(monkeypatch)
     ctx = Context(6, 3)
     assert verify_relations(ctx).passed
-    assert sorted(listed) == [-2, -1, 0, 1, 2]
+    assert sorted(listed) == [0, 0, 1, 1]  # one U per direction
     listed.clear()
     memo = {}
     first = k_matrix(ctx, 2, -2, memo)
-    assert sorted(listed) == [-2, -1, 0, 1, 2]
+    assert sorted(listed) == [0, 1]
+    assert set(memo[ctx]) == {(True, j) for j in range(1, 5)}
     assert k_matrix(ctx, -2, 2, memo) == k_matrix(ctx, -2, 2, {})
     assert k_matrix(ctx, 2, -2, memo) == first
-    assert len(listed) == 10  # the two fresh memos' windows only
-    for k in range(-2, 3):
-        assert memo[ctx][k] == enumerate_window(ctx, k)
+    assert sorted(listed) == [0, 0, 0, 1, 1, 1]  # the up U in `memo` and in the fresh memo
+    for (down, j), entries in memo[ctx].items():
+        assert entries == k_matrix(ctx, 0, -j if down else j, {}).entries, (down, j)
 
 
 @pytest.mark.parametrize("d, r", [(5, 2), (6, 3)])
 def test_k_matrix_memo_resumes_the_longest_fold(monkeypatch, d, r):
     # one memo across every (k, l) in [-3, 3]^2, shuffled: each K-matrix is a
-    # fresh one, and each fold of two or more steps is multiplied exactly once
+    # fresh one, and each power U^j, j = 2..6, is multiplied exactly once per direction
     ctx, ks = Context(d, r), range(-3, 4)
     fresh = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
     count = [0]
@@ -842,4 +847,5 @@ def test_k_matrix_memo_resumes_the_longest_fold(monkeypatch, d, r):
     memo = {}
     for k, l in pairs:
         assert k_matrix(ctx, k, l, memo) == fresh[(k, l)], (k, l)
-    assert count[0] == sum(abs(k - l) >= 2 for k, l in pairs) == 30
+    assert count[0] == len({(l < k, abs(k - l)) for k, l in pairs if abs(k - l) >= 2}) == 10
+    assert set(memo[ctx]) == {(down, j) for down in (True, False) for j in range(1, 7)}

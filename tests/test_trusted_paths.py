@@ -23,7 +23,9 @@ from schurwin.partitions import (
     box_partitions,
     canonicalize,
 )
-from schurwin.shifts import Term, TermComplex, _unit_step, shift_down_generator, shift_up_generator
+from schurwin.shifts import (
+    Term, TermComplex, general_shift, shift_down_generator, shift_up_generator
+)
 from schurwin.staircase import admissible_bases, base_from_top, staircase_diagrams
 from schurwin.windows import enumerate_window, in_window
 
@@ -119,23 +121,8 @@ def reference_unit_step(ctx, g, from_k, to_k, keep_det):
     ))
 
 
-def twisted(tc, m):
-    """The complex with every label's det power raised by m."""
-    return TermComplex(tuple(
-        t._replace(label=t.label._replace(det_power=t.label.det_power + m)) for t in tc.terms
-    ), tc.honest)
-
-
-def unit_step(ctx, g, from_k, to_k, keep_det):
-    """`_unit_step`'s image, which trivializes det V; kept, the upward one is the
-    one-step shift of the label untwisted by det^from_k."""
-    if keep_det and to_k > from_k:
-        return shift_up_generator(ctx, g._replace(det_power=g.det_power - from_k), keep_det)
-    return _unit_step(ctx, g, from_k, to_k, {})
-
-
 def test_unit_step_images_match_the_canonicalize_reference():
-    # `_unit_step` leaves its image untwisted: twist it here as the reference does
+    # `general_shift` over one step twists each level itself, as the reference does
     images = 0
     for d in range(1, 9):
         for r in range(1, d + 1):
@@ -143,7 +130,7 @@ def test_unit_step_images_match_the_canonicalize_reference():
             for k in range(-3, 4):
                 for g in enumerate_window(ctx, k):
                     for to_k, keep_det in product((k - 1, k + 1), (False, True)):
-                        got = twisted(unit_step(ctx, g, k, to_k, keep_det), min(k, to_k))
+                        got = general_shift(ctx, k, to_k, g, keep_det)
                         ref = reference_unit_step(ctx, g, k, to_k, keep_det)
                         assert got == ref, (d, r, g, k, to_k, keep_det)
                         images += 1

@@ -283,78 +283,79 @@ def test_relations_small():
     assert rep.passed
 
 
+def corrupt_unit_steps(monkeypatch, corrupt):
+    """Route every unit-step image, of W_1 in W_0 (down) or of W_0 in W_1, through
+    corrupt(ctx, g, down, tc); None leaves them honest."""
+    for down, name in ((True, "shift_down_generator"), (False, "shift_up_generator")):
+
+        def step(ctx, g, *args, _honest=getattr(shifts, name), _down=down):
+            tc = _honest(ctx, g, *args)
+            return tc if corrupt is None else corrupt(ctx, g, _down, tc)
+
+        monkeypatch.setattr(shifts, name, step)
+
+
 def test_relations_catch_a_bad_unit_step(monkeypatch):
     # one extra copy in one unit-step image must surface as a failed relation
-    honest_step = shifts._unit_step
-
-    def bad_step(ctx, g, from_k, to_k, memo):
-        tc = honest_step(ctx, g, from_k, to_k, memo)
-        if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
-            return tc
-        first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
-        return shifts.TermComplex((first,) + tc.terms[1:], tc.honest)
-
-    monkeypatch.setattr(shifts, "_unit_step", bad_step)
+    corrupt_unit_steps(monkeypatch, _extra_copy)
     rep = verify_relations(Context(4, 2))
     assert not rep.passed
-    assert rep.counterexample == {"relation": "unimodular", "k": -2, "l": 2, "det": 4}
+    assert rep.counterexample == {"relation": "unimodular", "k": -2, "l": -1, "det": 4}
 
 
 def _with_terms(tc, terms):
     return shifts.TermComplex(tuple(terms), tc.honest)
 
 
-def _extra_copy(ctx, g, from_k, to_k, tc):
-    if (from_k, to_k) != (1, 2) or g.delta.parts != (1,):
+def _extra_copy(ctx, g, down, tc):
+    if down or g.delta.parts != (1,):
         return tc
     first = tc.terms[0]._replace(copies=tc.terms[0].copies + 1)
     return _with_terms(tc, (first,) + tc.terms[1:])
 
 
-def _dropped_term(ctx, g, from_k, to_k, tc):
-    if (from_k, to_k) != (0, -1) or len(tc.terms) < 2:
+def _dropped_term(ctx, g, down, tc):
+    if not down or len(tc.terms) < 2:
         return tc
     return _with_terms(tc, tc.terms[:-1])
 
 
-def _degree_moved(ctx, g, from_k, to_k, tc):
-    # both directions of one step negate together: every round trip and
-    # composition still holds, only det-conjugation sees it
-    if (from_k, to_k) not in ((1, 2), (2, 1)):
-        return tc
+def _degree_moved(ctx, g, down, tc):
+    # both directions negate together: U_up and U_down become -U_up and -U_down, and
+    # every relation still holds
     return _with_terms(tc, [t._replace(degree=t.degree + 1) for t in tc.terms])
 
 
-def _ext_swapped(ctx, g, from_k, to_k, tc):
+def _ext_swapped(ctx, g, down, tc):
     # C(d, s) = C(d, d - s): invisible at the level of K-matrices
     return _with_terms(
         tc, [t._replace(ext_power=ctx.d - t.ext_power) if t.ext_power else t for t in tc.terms]
     )
 
 
-def _overlap_doubled(ctx, g, from_k, to_k, tc):
+def _overlap_doubled(ctx, g, down, tc):
     # the overlap generator O gets 2 copies: its row is no longer a unit row
-    if (from_k, to_k) != (0, 1) or len(tc.terms) != 1 or g.delta.parts:
+    if down or len(tc.terms) != 1 or g.delta.parts:
         return tc
     return _with_terms(tc, [tc.terms[0]._replace(copies=2)])
 
 
-def _overlap_doubled_negated(ctx, g, from_k, to_k, tc):
+def _overlap_doubled_negated(ctx, g, down, tc):
     # as above, in odd degree: the determinant changes sign as well
-    tc = _overlap_doubled(ctx, g, from_k, to_k, tc)
+    tc = _overlap_doubled(ctx, g, down, tc)
     if tc.terms[0].copies != 2:
         return tc
     return _with_terms(tc, [tc.terms[0]._replace(degree=1)])
 
 
-def _one_direction_degree(ctx, g, from_k, to_k, tc):
-    if (from_k, to_k) != (-1, -2) or len(g.delta.parts) != 1:
+def _one_direction_degree(ctx, g, down, tc):
+    if not down or len(g.delta.parts) != 1:
         return tc
     return _with_terms(tc, [t._replace(degree=t.degree + 1) for t in tc.terms])
 
 
-def _one_direction_copy(ctx, g, from_k, to_k, tc):
-    if (from_k, to_k) != (2, 1) or len(tc.terms) < 2:
+def _one_direction_copy(ctx, g, down, tc):
+    if not down or len(tc.terms) < 2:
         return tc
     last = tc.terms[-1]._replace(copies=tc.terms[-1].copies + 1)
     return _with_terms(tc, tc.terms[:-1] + (last,))
@@ -365,7 +366,7 @@ UNIT_STEP_CORRUPTIONS = {
     "none": (None, None),
     "extra-copy": (_extra_copy, "unimodular"),
     "dropped-term": (_dropped_term, "unimodular"),
-    "degree-moved": (_degree_moved, "det-conjugation"),
+    "degree-moved": (_degree_moved, None),
     "ext-swapped": (_ext_swapped, None),
     "overlap-doubled": (_overlap_doubled, "unimodular"),
     "overlap-doubled-negated": (_overlap_doubled_negated, "unimodular"),
@@ -409,13 +410,7 @@ def _reference_relations(ctx, k_range):
 @pytest.mark.parametrize("name", list(UNIT_STEP_CORRUPTIONS))
 def test_relations_failure_sequence_matches_dense_reference(monkeypatch, name, d, r):
     corrupt, first_failure = UNIT_STEP_CORRUPTIONS[name]
-    honest_step = shifts._unit_step
-
-    def step(ctx, g, from_k, to_k, memo):
-        tc = honest_step(ctx, g, from_k, to_k, memo)
-        return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
-
-    monkeypatch.setattr(shifts, "_unit_step", step)
+    corrupt_unit_steps(monkeypatch, corrupt)
     ctx = Context(d, r)
     for k_range in (range(-2, 3), [0, 2], [-1, 1, 2], [3], range(-3, 4, 3), range(-4, 4)):
         expected = _reference_relations(ctx, k_range)
@@ -432,13 +427,7 @@ def test_round_trip_is_the_identity_in_both_orders_or_neither(monkeypatch, name,
     # the identity `_relation_failures` multiplies one round trip per unordered
     # pair on: for square integer matrices, AB = I iff BA = I
     corrupt, _ = UNIT_STEP_CORRUPTIONS[name]
-    honest_step = shifts._unit_step
-
-    def step(ctx, g, from_k, to_k, memo):
-        tc = honest_step(ctx, g, from_k, to_k, memo)
-        return tc if corrupt is None else corrupt(ctx, g, from_k, to_k, tc)
-
-    monkeypatch.setattr(shifts, "_unit_step", step)
+    corrupt_unit_steps(monkeypatch, corrupt)
     ctx, ks = Context(d, r), range(-2, 3)
     mats = {(a, l): shifts.k_matrix(ctx, a, l) for a in ks for l in ks}
     trips = {(a, l): (mats[(a, l)] @ mats[(l, a)]).is_identity() for a in ks for l in ks if a != l}
@@ -467,6 +456,16 @@ def test_relations_refuse_a_repeated_k(monkeypatch, k_range):
     assert built == []
 
 
+@pytest.mark.parametrize("k_range", [[True, 2], [0, False], [0.5, 1.5], [0, 2.0]])
+def test_relations_refuse_a_k_that_is_not_an_int(monkeypatch, k_range):
+    # [True, 2] passed as kRange [true, 2]; [0.5, 1.5] failed inside `k_matrix`
+    built = []
+    monkeypatch.setattr(verify, "k_matrix", lambda *args: built.append(args))
+    with pytest.raises(ShapeError, match="k_range names a window by a non-int"):
+        verify_relations(Context(4, 2), k_range)
+    assert built == []
+
+
 def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
     # M_kk built wrong: -1 in its first entry keeps it unimodular, so only
     # the identity relation can fail first
@@ -484,15 +483,43 @@ def test_relations_report_a_shift_that_is_not_the_identity(monkeypatch):
     assert rep.counterexample == {"relation": "identity", "k": 1}
 
 
+def test_relations_report_a_level_that_breaks_det_conjugation(monkeypatch):
+    # `k_matrix` reads every level off one U per direction, so only a corrupted level
+    # reaches det-conjugation: W_2's basis signed by D = diag(-1, 1, ..., 1), each M_kl
+    # read as D^[k = 2] @ M_kl @ D^[l = 2], keeps every identity, determinant, fold and
+    # round trip
+    honest = verify.k_matrix
+
+    def k_matrix(ctx, k, l, memo=None):
+        rows = [list(row) for row in honest(ctx, k, l, memo).entries]
+        for row in rows if l == 2 else ():
+            row[0] = -row[0]
+        if k == 2:
+            rows[0] = [-x for x in rows[0]]
+        return shifts.KMatrix(ctx, k, l, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "k_matrix", k_matrix)
+    ctx, ks = Context(4, 2), range(-2, 3)
+    mats = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
+    dets = {kl: _bareiss([list(row) for row in m.entries]) for kl, m in mats.items()}
+    expected = next(_frozen_relation_failures(mats, dets, ks))
+    assert expected["relation"] == "det-conjugation"
+    rep = verify_relations(ctx, ks)
+    assert not rep.passed
+    assert rep.counterexample == expected
+
+
+# the ids are fixed names, not the counts below
 @pytest.mark.parametrize("k_range, products, determinants", [
-    pytest.param(range(-2, 3), 22, 8, id="k_range0-22"),
-    pytest.param([0, 2], 3, 4, id="k_range1-3"),
-    pytest.param([-3, 0, 3], 17, 12, id="k_range2-17"),
+    pytest.param(range(-2, 3), 16, 2, id="k_range0-22"),
+    pytest.param([0, 2], 3, 2, id="k_range1-3"),
+    pytest.param([-3, 0, 3], 13, 2, id="k_range2-17"),
 ])
 def test_relations_multiply_only_where_undecided(monkeypatch, k_range, products, determinants):
-    # the fold, plus one round-trip product M_lo,hi @ M_hi,lo per unordered pair {a, l}
+    # one product per power U^j, j >= 2, in each direction up to the widest distance in
+    # k_range, plus one round-trip product M_lo,hi @ M_hi,lo per unordered pair {a, l}
     # that some triple (k, l, m) with l outside [k, m] and a = k or m needs; one
-    # determinant per unit step on the walk, none of an identity or a composed matrix
+    # determinant per direction's U, none of an identity or a power
     count = {"_mat_mul": 0, "int_determinant": 0}
     for name in count:
 
