@@ -2,7 +2,8 @@
 one home of the exact rules other modules share: `_dotted_weyl`, Bott's
 dotted Weyl action, which also straightens Schur weights; `_translated`, the
 translation the LR products take; `_canonical`, the label rule every generator
-is named by; `_bareiss`, the integer determinant.
+is named by; `_bareiss`, the integer determinant (cofactor expansion up to 3 x 3,
+fraction-free elimination beyond), which leaves its argument as it found it.
 
 `Partition(...)`, `check_weight` and `canonicalize` validate their input; `Partition._trusted`,
 `_label` and `_canonical` trust it, so they take only the library's own tuples.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from operator import index
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class ShapeError(ValueError):
@@ -163,15 +164,23 @@ def _dotted_weyl(s, q) -> tuple[int, tuple[int, ...]] | None:
     return inversions, tuple(x + k for k, x in enumerate(ordered))
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Integer determinant by Bareiss's fraction-free elimination.
+def _bareiss(a: Sequence[Sequence[int]]) -> int:
+    """Integer determinant of the square matrix `a`, rows given as lists or tuples.
 
-    Every division is exact (Bareiss 1968, Math. Comp. 22), so entries stay
-    integers throughout. Eliminates in place: `a` is consumed.
+    Up to 3 x 3, exact cofactor expansion along the first row. From 4 x 4, Bareiss's
+    fraction-free elimination on a copy of the rows: every division is exact (Bareiss
+    1968, Math. Comp. 22), so entries stay integers throughout. `a` is not consumed.
     """
     n = len(a)
-    if n == 0:
-        return 1
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if n == 2:
+        (a0, a1), (b0, b1) = a
+        return a0 * b1 - a1 * b0
+    if n < 2:
+        return a[0][0] if n else 1
+    a = [list(row) for row in a]
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:

@@ -110,6 +110,13 @@ def _refuse_past_work_limit(ctx: Context, samples: int, staircases: int | None) 
                              f"over WORK_LIMIT={WORK_LIMIT:,}")
 
 
+def _refuse_non_ints(**counts) -> None:
+    """ShapeError naming the first of `counts` that is not an int, a bool included."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ShapeError(f"{name} must be an int, not {value!r}")
+
+
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
     """d distinct positive rationals with numerator and denominator <= 100."""
     if d > SAMPLE_LIMIT:
@@ -155,12 +162,13 @@ def _localization_counterexample(ctx, base, steps, tables):
     with one x inserted at place p, so its Jacobi-Trudi determinant is
     (-1)^(r - 1 - p) det of the rows (h_(a + j))_j over (h_(x + j))_j, h_m = 0
     for m < 0. That is linear in the last row: the terms whose own rows match
-    sum exactly into one `_bareiss` over one combined row. Any other term, such as a
-    corrupted one, is its own `schur_at(mu, b)`, which builds its own h-table. A zero
-    sum is a necessary condition for exactness only. `tables` (`_localization_tables`) has
-    one table per point, which carries its cleared point and its e_s(c), 0 for s past 0..d; a
-    call adds, per fixed subset, (b, q, h), h = `_h_table(b, m)`, m = max mu_1 + r - 1 over
-    the diagrams so far, the last index a row reads.
+    sum exactly into one `_bareiss` (cofactors up to r = 3) over one combined row; the base's
+    rows go in as the h-table's own tuple slices, which `_bareiss` does not consume. Any other
+    term, such as a corrupted one, is its own `schur_at(mu, b)`, which builds its own
+    h-table. A zero sum is a necessary condition for exactness only. `tables`
+    (`_localization_tables`) has one table per point, which carries its cleared point and its
+    e_s(c), 0 for s past 0..d; a call adds, per fixed subset, (b, q, h), h = `_h_table(b, m)`,
+    m = max mu_1 + r - 1 over the diagrams so far, the last index a row reads.
     """
     r, d = ctx.r, ctx.d
     diagrams = [base.pad(r)] + [st.delta.pad(r) for st in steps]
@@ -188,8 +196,9 @@ def _localization_counterexample(ctx, base, steps, tables):
                     weights.append(coef * q ** (top_m - size))
                     segments.append(hz[hit[0] + r - 1 : hit[0] + 2 * r - 1])
             if r:  # the base's r - 1 rows over the combined row
-                mat = [list(hz[a + r - 1 : a + 2 * r - 1]) for a in rows]
-                total += _bareiss(mat + [[sum(map(mul, weights, col)) for col in zip(*segments)]])
+                mat = [hz[a + r - 1 : a + 2 * r - 1] for a in rows]
+                mat.append([sum(map(mul, weights, col)) for col in zip(*segments)])
+                total += _bareiss(mat)
             if total:
                 return {
                     "delta": list(base.parts),
@@ -214,9 +223,11 @@ def verify_localization(
 
     Restriction to a fixed point sends S^v(mu) to the Schur value at the
     inverted coordinates of the chosen r-subset and wedge^s V to e_s of all
-    coordinates; an exact sequence makes the alternating sum vanish.
+    coordinates; an exact sequence makes the alternating sum vanish. A `samples` or `seed`
+    that is not an int (a bool included), or samples < 1: ShapeError, before any draw.
     """
     t0 = time.perf_counter()
+    _refuse_non_ints(samples=samples, seed=seed)
     if samples < 1:
         raise ShapeError("samples must be at least 1")
     _refuse_past_work_limit(ctx, samples, None if delta is None and ctx.r else 1)
@@ -266,8 +277,10 @@ def mutate_steps(rng: random.Random, ctx: Context, steps) -> tuple[StaircaseStep
 def localization_mutation_sweep(
     ctx: Context, mutations: int = 20, seed: int = 0
 ) -> VerificationReport:
-    """Corrupt staircase data and confirm localization catches every mutation."""
+    """Corrupt staircase data and confirm localization catches every mutation. A `mutations`
+    or `seed` that is not an int (a bool included): ShapeError, before any draw."""
     t0 = time.perf_counter()
+    _refuse_non_ints(mutations=mutations, seed=seed)
     if ctx.r == 0:
         raise ShapeError("no staircase bases exist for r = 0")
     if mutations < 1:

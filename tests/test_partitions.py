@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +11,7 @@ from schurwin.partitions import (
     GeneratorLabel,
     Partition,
     ShapeError,
+    _bareiss,
     box_partitions,
     canonicalize,
     check_weight,
@@ -237,3 +241,52 @@ def test_shared_rules_have_one_home():
     assert shifts._bareiss is symfunc._bareiss is partitions._bareiss
     for name in ("_dotted_weyl", "_translated", "_bareiss"):
         assert getattr(partitions, name).__module__ == "schurwin.partitions"
+
+
+def _leibniz(a):
+    """det a as the signed sum over permutations, the oracle for `_bareiss`."""
+    n, total = len(a), 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def _matrices(n, rng):
+    """(kind, matrix) pairs of size n: random entries small and ~40 digits, singular ones, a
+    zero leading pivot, a zero first column and the reversal permutation (a swap per step)."""
+    def rand(bound):
+        return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+
+    for k in range(4):
+        yield f"small-{k}", rand(3)
+        yield f"big-{k}", rand(10**40)
+    if n:
+        a = rand(5)
+        a[-1] = [x + 2 * y for x, y in zip(a[0], a[n // 2])]  # a dependent last row
+        yield "dependent-row", a
+        a = rand(10**40)
+        a[0] = [0] * n
+        yield "zero-row", a
+        a = rand(9)
+        a[0][0] = 0
+        yield "zero-pivot", a
+        a = rand(9)
+        for row in a:
+            row[0] = 0
+        yield "zero-column", a
+        yield "reversal", [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+    else:
+        yield "empty", []
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("rows", [list, tuple])
+def test_bareiss_matches_leibniz(n, rows):
+    # two paths, cofactors up to 3 x 3 and elimination beyond, against one independent oracle
+    for kind, a in _matrices(n, random.Random(n)):
+        a = [rows(row) for row in a]
+        before = [tuple(row) for row in a]
+        assert _bareiss(a) == _leibniz(before), (n, kind)
+        assert [tuple(row) for row in a] == before, (n, kind)  # not consumed
+        assert all(type(row) is rows for row in a), (n, kind)

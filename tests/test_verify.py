@@ -108,6 +108,29 @@ def test_mutation_sweep_refuses_no_mutations(monkeypatch, mutations):
 
 
 @pytest.mark.parametrize(
+    "check, name, value",
+    [
+        (verify_localization, "seed", "1"),  # a str seed draws another stream than 1
+        (verify_localization, "seed", 1.5),
+        (verify_localization, "seed", True),
+        (verify_localization, "samples", True),
+        (verify_localization, "samples", 2.5),
+        (verify_localization, "samples", Fraction(3)),
+        (localization_mutation_sweep, "mutations", True),
+        (localization_mutation_sweep, "mutations", 20.0),
+        (localization_mutation_sweep, "seed", "0"),
+        (localization_mutation_sweep, "seed", False),
+    ],
+)
+def test_localization_refuses_non_int_counts_and_seeds(monkeypatch, check, name, value):
+    # a report would echo the value back as given, so refuse it by name before any draw
+    _refuse_draws_and_bases(monkeypatch)
+    with pytest.raises(ShapeError) as info:
+        check(Context(4, 2), **{name: value})
+    assert str(info.value) == f"{name} must be an int, not {value!r}"
+
+
+@pytest.mark.parametrize(
     "ctx, mutations",
     [
         # 3 points times C(200, 3) fixed points times 199 terms for one mutation
@@ -402,7 +425,7 @@ def _reference_relations(ctx, k_range):
     taken densely and every product multiplied out."""
     ks = sorted(k_range)
     mats = {(k, l): shifts.k_matrix(ctx, k, l) for k in ks for l in ks}
-    dets = {kl: _bareiss([list(row) for row in m.entries]) for kl, m in mats.items()}
+    dets = {kl: _bareiss(m.entries) for kl, m in mats.items()}
     return next(_frozen_relation_failures(mats, dets, ks), None)
 
 
@@ -501,7 +524,7 @@ def test_relations_report_a_level_that_breaks_det_conjugation(monkeypatch):
     monkeypatch.setattr(verify, "k_matrix", k_matrix)
     ctx, ks = Context(4, 2), range(-2, 3)
     mats = {(k, l): k_matrix(ctx, k, l) for k in ks for l in ks}
-    dets = {kl: _bareiss([list(row) for row in m.entries]) for kl, m in mats.items()}
+    dets = {kl: _bareiss(m.entries) for kl, m in mats.items()}
     expected = next(_frozen_relation_failures(mats, dets, ks))
     assert expected["relation"] == "det-conjugation"
     rep = verify_relations(ctx, ks)
