@@ -104,30 +104,33 @@ def bwb(ctx: Context, hw: HomogeneousWeight) -> CohomologyTable:
     return table
 
 
-def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[tuple[int, ...], int]:
-    """`shape` padded to length r, dualised if `dual`, `_translated`; kept in `weights`."""
+def _box_weight(weights: dict, shape, r: int, dual: bool) -> tuple[Partition, int]:
+    """`shape` padded to r, dualised if `dual`, `_translated`: (Partition, offset), in `weights`."""
     shape = shape if isinstance(shape, Partition) else Partition(tuple(shape))
     key = (shape.parts, r, dual)
     hit = weights.get(key)
     if hit is None:
-        hit = weights[key] = _translated(dual_weight(shape.pad(r)) if dual else shape.pad(r))
+        u, n = _translated(dual_weight(shape.pad(r)) if dual else shape.pad(r))
+        hit = weights[key] = Partition(u), n
     return hit
 
 
 def _class_key(u, v):
-    """The `memo` key of the translation class of two `_translated` weights: the sorted pair."""
+    """The key of the translation class of two `_translated` weights' parts: the sorted pair."""
     return (u, v) if u <= v else (v, u)
 
 
-def _lr_class(r: int, u, v, memo=None, steps=None):
-    """`memo` entry (a dict the caller owns, keyed by `_class_key`) of the translation class of
-    two `_translated` length-r weights: its LR terms at r rows as (a, mult), a_i = i - key_i
-    strictly increasing for the key padded to r. It depends on r alone. `steps` goes to
-    `lr_multiply`."""
-    pair = _class_key(u, v)
+def _lr_class(r: int, u: Partition, v: Partition, memo=None, steps=None):
+    """`memo` entry (a dict the caller owns, keyed by the `_class_key` of the parts) of the
+    translation class of two `_translated` length-r weights as Partitions: its LR terms at r
+    rows as (a, mult), a_i = i - key_i strictly increasing for the key padded to r. It depends
+    on r alone. `steps` goes to `lr_multiply`, which takes the pair in key order."""
+    pair = _class_key(u.parts, v.parts)
     memo = {} if memo is None else memo
     if pair not in memo:
-        terms = lr_multiply(Partition(pair[0]), Partition(pair[1]), r, steps).terms
+        if pair[0] != u.parts:
+            u, v = v, u
+        terms = lr_multiply(u, v, r, steps).terms
         zeros = (0,) * r
         memo[pair] = [(tuple(map(sub, range(r), key + zeros[len(key):])), m)
                       for key, m in terms.items()]
@@ -173,7 +176,8 @@ def hom_sweep(ctx: Context, shapes):
     first: dict = {}  # class -> {total offset: (i, j) of its first pair}
     for i, (u, nu) in enumerate(duals):
         for j, (v, nv) in enumerate(plains):
-            first.setdefault(_class_key(u, v), {}).setdefault(nu + nv, (i, j))
+            key = _class_key(u.parts, v.parts)
+            (first.get(key) or first.setdefault(key, {})).setdefault(nu + nv, (i, j))
     for offsets in first.values():
         for i, j in offsets.values():
             yield i, j, hom_bundle_cohomology(ctx, shapes[i], shapes[j], memo, steps, weights)

@@ -15,7 +15,7 @@ function, so everything is safe to share across threads.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from operator import index
+from operator import ge, index
 from typing import NamedTuple, Sequence
 
 
@@ -32,9 +32,8 @@ def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
 
 def _normalized(parts) -> tuple[int, ...]:
     out = tuple(map(int, map(index, parts)))  # a float or Fraction raises TypeError
-    for a, b in zip(out, out[1:]):
-        if a < b:
-            raise ShapeError(f"parts not weakly decreasing: {list(out)}")
+    if not all(map(ge, out, out[1:])):
+        raise ShapeError(f"parts not weakly decreasing: {list(out)}")
     if out and out[-1] < 0:
         raise ShapeError(f"negative part in partition: {list(out)}")
     return _strip(out)
@@ -125,9 +124,8 @@ class Partition:
 def check_weight(entries, length: int | None = None) -> tuple[int, ...]:
     """Validate a weakly decreasing integer weight and return it as a tuple."""
     w = tuple(map(int, map(index, entries)))  # a float or Fraction raises TypeError
-    for a, b in zip(w, w[1:]):
-        if a < b:
-            raise ShapeError(f"weight not weakly decreasing: {list(w)}")
+    if not all(map(ge, w, w[1:])):
+        raise ShapeError(f"weight not weakly decreasing: {list(w)}")
     if length is not None and len(w) != length:
         raise ShapeError(f"weight {list(w)} should have length {length}")
     return w

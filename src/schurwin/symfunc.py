@@ -1,9 +1,10 @@
 """Exact symmetric-function arithmetic in the Schur basis.
 
 Products use the Littlewood-Richardson tableau rule, one horizontal strip per letter,
-each strip's successor states built in one pass (exact integer coefficients, no floats);
-a GL(r) product with a det-twisted column (c+1)^k c^(r-k), a wedge power say, is the
-Pieri rule on the other weight plus c, one count of grown rows per run of equal entries.
+each strip's successor states built in one pass, the last letter's folded by shape
+(exact integer coefficients, no floats); a GL(r) product with a det-twisted column
+(c+1)^k c^(r-k), a wedge power say, is the Pieri rule on the other weight plus c, one
+count of grown rows per run of equal entries, and `multiply`'s answer for one pair.
 Evaluation takes the Jacobi-Trudi determinant by Bareiss elimination at a point of ints,
 as given (any other point is cleared to b / q first, and a float coordinate raises
 TypeError); it stays well defined at repeated coordinates, with no bialternant ratio.
@@ -104,19 +105,19 @@ class SchurExpansion:
         return SchurExpansion._trusted({k: scalar * c for k, c in self.terms.items()}, self.rank)
 
     def multiply(self, other: "SchurExpansion") -> "SchurExpansion":
-        """Full product, term by term through the LR rule."""
+        """Full product, term by term through the LR rule; one pair alone is its terms, scaled."""
         if self.rank != other.rank:
             raise ShapeError("rank mismatch in product")
-        out: dict[tuple[int, ...], int] = {}
+        rank, out = self.rank, {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                if self.rank is None:
-                    part = lr_multiply(Partition(k1), Partition(k2))
-                else:
-                    part = tensor_gl(self.rank, _pad(k1, self.rank), _pad(k2, self.rank))
+                part = (lr_multiply(Partition(k1), Partition(k2)) if rank is None
+                        else tensor_gl(rank, _pad(k1, rank), _pad(k2, rank)))
+                if len(self.terms) == len(other.terms) == 1:  # the one pair: `part` is fresh
+                    return part if c1 * c2 == 1 else (c1 * c2) * part
                 for k3, c3 in part.terms.items():
                     out[k3] = out.get(k3, 0) + c1 * c2 * c3
-        return SchurExpansion._trusted(out, self.rank)
+        return SchurExpansion._trusted(out, rank)
 
     def to_json_obj(self):
         return [{"weight": list(k), "coeff": c} for k, c in self.items()]
@@ -156,11 +157,11 @@ def _strip_extensions(shape, prev_cum, size, rank):
 
 
 def _add_column(shape, k, rank):
-    """Pieri rule for s_shape * e_k: every way to add a vertical strip of k
-    boxes, at most one per row, within `rank` rows. The strip grows the first
-    g rows of each run of equal entries, so it is one g per run, each taken in
-    descending order, and each key joins per-run pieces. It only compares
-    entries, so `shape` may be any weakly decreasing weight of length `rank`."""
+    """Pieri rule for s_shape * e_k: every way to add a vertical strip of k boxes, at most
+    one per row, within `rank` rows. The strip grows the first g rows of each run of equal
+    entries: one g per run, in descending order, a run that can end the strip emitting that
+    key first, and each key joins per-run pieces. It only compares entries, so `shape` may
+    be any weakly decreasing weight of length `rank`."""
     rows = len(shape) + k if rank is None else min(len(shape) + k, rank)
     ext = shape + (0,) * (rows - len(shape))
     if k == 0 or k > rows:
@@ -170,12 +171,13 @@ def _add_column(shape, k, rank):
 
     def rec(j, a, left, head):  # run j is ext[a:ends[j]]; `head` is the rows above it, grown
         b, up = ends[j], (ext[a] + 1,)
-        for g in range(min(b - a, left), max(left - rows + b, 0) - 1, -1):
-            if g == left:  # the strip ends in this run
-                key = head + up * g + ext[a + g:]
-                out[key if key[-1] else _strip(key)] = 1
-            else:
-                rec(j + 1, b, left - g, head + up * g + ext[a + g:b])
+        top, low = b - a, left - rows + b  # g <= the run's length; the runs below take the rest
+        if top >= left:  # the strip can end in this run
+            key = head + up * left + ext[a + left:]
+            out[key if key[-1] else _strip(key)] = 1
+            top = left - 1
+        for g in range(top, low - 1 if low > 0 else -1, -1):
+            rec(j + 1, b, left - g, head + up * g + ext[a + g:b])
 
     rec(0, 0, k, ())
     return out
@@ -184,10 +186,10 @@ def _add_column(shape, k, rank):
 def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     """Schur product s_a * s_b by Littlewood-Richardson tableau enumeration.
 
-    Keys with more than `rank` rows are truncated away (they vanish in rank
-    variables). Commutative; the smaller diagram is used as the filling.
-    `steps`, a dict the caller owns, keeps each DP state's successors, made in one
-    `_strip_extensions` pass, under (state, letter size, rank) across products.
+    Keys with more than `rank` rows vanish in rank variables and are dropped. The smaller
+    diagram is the filling; no letter reads the last one's counts, so its successors fold
+    straight by shape. `steps`, a dict the caller owns, keeps each DP state's successors,
+    made in one `_strip_extensions` pass, under (state, letter size, rank) across products.
     """
     a = a if isinstance(a, Partition) else Partition(tuple(a))
     b = b if isinstance(b, Partition) else Partition(tuple(b))
@@ -198,20 +200,21 @@ def lr_multiply(a, b, rank: int | None = None, steps=None) -> SchurExpansion:
     # state: (shape so far, cumulative row counts of the last letter placed)
     states: dict = {(a.parts, None): 1}
     steps = {} if steps is None else steps
-    for letter_size in b.parts:
+    for n, letter_size in enumerate(b.parts, 1 - len(b)):  # n == 0 at the last letter
         new_states: dict = {}
         for state, mult in states.items():
             key = (state, letter_size, rank)
             successors = steps.get(key)
             if successors is None:
                 successors = steps[key] = _strip_extensions(*state, letter_size, rank)
-            for nxt in successors:
-                new_states[nxt] = new_states.get(nxt, 0) + mult
+            if n:
+                for nxt in successors:
+                    new_states[nxt] = new_states.get(nxt, 0) + mult
+            else:  # no letter reads the last one's counts: fold straight by shape
+                for shape, _ in successors:
+                    new_states[shape] = new_states.get(shape, 0) + mult
         states = new_states
-    out: dict[tuple[int, ...], int] = {}
-    for (shape, _), mult in states.items():
-        out[shape] = out.get(shape, 0) + mult
-    return SchurExpansion._trusted(out, rank)
+    return SchurExpansion._trusted(states if b else {a.parts: 1}, rank)
 
 
 def tensor_gl(r: int, u, v) -> SchurExpansion:

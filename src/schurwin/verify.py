@@ -118,7 +118,10 @@ def _refuse_non_ints(**counts) -> None:
 
 
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
-    """d distinct positive rationals with numerator and denominator <= 100."""
+    """d distinct positive rationals with numerator and denominator <= 100; d an int >= 1."""
+    _refuse_non_ints(d=d)
+    if d < 1:
+        raise ShapeError(f"a sample point needs d >= 1, got d={d}")
     if d > SAMPLE_LIMIT:
         raise ShapeError(f"a sample point has at most {SAMPLE_LIMIT} coordinates, got d={d}")
     pts: set[Fraction] = set()

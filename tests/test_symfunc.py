@@ -156,6 +156,72 @@ def test_lr_rank_truncation():
     assert truncated.terms == {k: c for k, c in full.terms.items() if len(k) <= 2}
 
 
+@pytest.mark.parametrize(
+    "a, b, rank, terms",
+    [
+        # an empty filling: no letter, so the last-letter fold never runs
+        ((3, 1), (), None, {(3, 1): 1}),
+        ((3, 1), (), 2, {(3, 1): 1}),
+        ((), (), None, {(): 1}),
+        ((), (), 0, {(): 1}),
+        # a one-row filling: its one letter is the last
+        ((2, 1), (2,), None, {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}),
+        ((2,), (2, 1), None, {(4, 1): 1, (3, 2): 1, (3, 1, 1): 1, (2, 2, 1): 1}),
+        ((2, 1), (2,), 2, {(4, 1): 1, (3, 2): 1}),
+        ((3,), (2,), 1, {(5,): 1}),
+        ((2, 2), (1, 1), 2, {(3, 3): 1}),
+        # truncated to the empty product: by the DP, and before it
+        ((2,), (1, 1), 1, {}),
+        ((2, 2), (1, 1), 0, {}),
+        ((3, 1), (), 1, {}),
+        ((1, 1), (1, 1, 1), 2, {}),
+    ],
+)
+def test_lr_multiply_edge_fillings_keep_their_values(a, b, rank, terms):
+    # frozen from the product before its last letter was folded straight by shape
+    product_ = lr_multiply(a, b, rank)
+    assert product_.rank == rank and product_.terms == terms
+
+
+def _term_by_term(x, y):
+    """x * y as the sum over every pair of terms of c1 * c2 times that pair's product."""
+    total = SchurExpansion(rank=x.rank)
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            if x.rank is None:
+                pair = lr_multiply(k1, k2)
+            else:
+                pad = (0,) * x.rank
+                pair = tensor_gl(x.rank, (k1 + pad)[:x.rank], (k2 + pad)[:x.rank])
+            total = total + (c1 * c2) * pair
+    return total
+
+
+@pytest.mark.parametrize(
+    "x, y, rank",
+    [
+        ({(2, 1): 3}, {(1,): -2}, None),
+        ({(2,): -5}, {(2, 2): 7}, None),
+        ({(2, 1): 3}, {(1, 1): -2}, 3),  # a column: the Pieri rule
+        ({(3, 1, -1): -4}, {(2, 2, 0): 3}, 3),  # the strip DP
+        ({(0, 0, 0, -1, -1): 6}, {(2, 1): -1}, 5),  # an Euler-shaped product, scaled
+        ({(2, 1): 3, (1, 1, 1): -2}, {(1,): 5}, None),  # two pairs, summed as before
+        ({(2, 1): 2}, {(2,): 3, (1, 1): -3}, 3),
+    ],
+)
+def test_one_pair_multiply_is_its_scaled_decomposition(x, y, rank):
+    # a one-pair product is the pair's own fresh decomposition scaled by c1 * c2; it
+    # must equal the term-by-term sum, and leave both factors and later products alone
+    x, y = SchurExpansion(x, rank), SchurExpansion(y, rank)
+    before = (dict(x.terms), dict(y.terms))
+    got = x.multiply(y)
+    assert got == _term_by_term(x, y) and not got.is_zero()
+    assert 0 not in got.terms.values()
+    assert (x.terms, y.terms) == before
+    assert got.terms is not x.terms and got.terms is not y.terms
+    assert x.multiply(y) == got and y.multiply(x) == got
+
+
 @st.composite
 def small_partitions(draw):
     parts = draw(st.lists(st.integers(1, 4), min_size=0, max_size=4))
@@ -627,8 +693,8 @@ def test_tensor_gl_memo_and_translation_independent():
 
 
 def _class_of(u, v):
-    """The two weights translated to end in 0, as `bott._lr_class` takes them."""
-    return tuple(x - u[-1] for x in u), tuple(x - v[-1] for x in v)
+    """The two weights translated to end in 0, as Partitions, as `bott._lr_class` takes them."""
+    return Partition(tuple(x - u[-1] for x in u)), Partition(tuple(x - v[-1] for x in v))
 
 
 def _untranslated(terms, r, total):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -12,7 +12,7 @@ from schurwin.partitions import (
     Context, Partition, ShapeError, _bareiss, box_partitions, dual_weight
 )
 from schurwin.staircase import StaircaseStep, admissible_bases, staircase_diagrams
-from schurwin.symfunc import elementary_at, schur_at
+from schurwin.symfunc import SchurExpansion, dimension_gl, elementary_at, schur_at
 from schurwin.verify import (
     GOLDEN_INDEX,
     SAMPLE_LIMIT,
@@ -57,6 +57,24 @@ def test_sample_limit_is_the_number_of_distinct_fractions():
 class _NoDraws(random.Random):
     def randint(self, a, b):
         raise AssertionError("drew a sample coordinate")
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (3.5, "d must be an int, not 3.5"),
+        (True, "d must be an int, not True"),
+        (Fraction(3), "d must be an int, not Fraction(3, 1)"),
+        ("3", "d must be an int, not '3'"),
+        (0, "a sample point needs d >= 1, got d=0"),
+        (-1, "a sample point needs d >= 1, got d=-1"),
+    ],
+)
+def test_sample_point_refuses_a_d_that_is_not_a_positive_int(d, message):
+    # 3.5 used to give 4 coordinates, True 1 and -1 none: refuse by name before any draw
+    with pytest.raises(ShapeError) as info:
+        sample_point(_NoDraws(0), d)
+    assert str(info.value) == message
 
 
 def _refuse_draws_and_bases(monkeypatch):
@@ -1085,6 +1103,35 @@ def test_euler_takes_one_character_per_diagram(monkeypatch):
     monkeypatch.setattr(verify, "euler_character", counted)
     assert verify_euler(Context(6, 3)).passed
     assert len(made) == len(set(made)) == 35
+
+
+@pytest.mark.parametrize("d, r, products", [(6, 3, 60), (7, 3, 105)])
+def test_euler_products_have_the_dimension_of_their_factors(monkeypatch, d, r, products):
+    # dim(chi (x) wedge^s V) = dim(chi) * C(d, s) for every (delta, s) the sweep multiplies:
+    # Weyl's dimension formula checks each product without the Pieri recursion
+    seen = []
+    honest = SchurExpansion.multiply
+
+    def spied(x, y):
+        out = honest(x, y)
+        seen.append((x, y, out))
+        return out
+
+    def dim(e):
+        return sum(c * dimension_gl(k + (0,) * (d - len(k)), d) for k, c in e.terms.items())
+
+    monkeypatch.setattr(SchurExpansion, "multiply", spied)
+    assert verify_euler(Context(d, r)).passed
+    assert len(seen) == products
+    pairs = set()
+    for chi, wedge, out in seen:
+        (w, c), = wedge.terms.items()
+        s = w.count(-1)
+        assert c == 1 and w == (0,) * (d - s) + (-1,) * s and 1 <= s <= d
+        assert dim(out) == dim(chi) * comb(d, s), (chi, s)
+        pairs.add((tuple(chi.terms.items()), s))
+    # each of the bases' d - r + 1 steps is a product, no two alike, and every s occurs
+    assert len(pairs) == products and {s for _, s in pairs} == set(range(1, d + 1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
