@@ -45,8 +45,7 @@ class CohomologyTable:
         self.groups: dict[int, dict[tuple[int, ...], int]] = {}
         if groups:
             for deg, entries in groups.items():
-                pairs = entries.items() if isinstance(entries, dict) else entries
-                for w, m in pairs:
+                for w, m in entries.items():
                     self.add(deg, tuple(w), m)
 
     def add(self, degree: int, weight: tuple[int, ...], mult: int = 1):

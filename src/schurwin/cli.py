@@ -67,13 +67,11 @@ def _verify(args, ctx):
             only = " and ".join(s for s, (_, takers) in _SUITES.items() if flag in takers)
             verb = "do" if " and " in only else "does"
             raise ShapeError(f"verify {args.suite} takes no --{flag}; only {only} {verb}")
-    kwargs = {flag: getattr(args, flag) for flag in takes}
-    if kwargs.get("delta") is not None:
+    kwargs = {flag: getattr(args, flag) for flag in takes if getattr(args, flag) is not None}
+    if "delta" in kwargs:
         kwargs["delta"] = parse_int_tuple(kwargs["delta"])
-    if "seed" in takes and args.seed is None:  # exactness: SCHURWIN_SEED, then 0
-        kwargs["seed"] = int(os.environ.get("SCHURWIN_SEED") or 0)
-    if "samples" in takes and args.samples is None:
-        kwargs["samples"] = 3
+    if "seed" in takes and args.seed is None and os.environ.get("SCHURWIN_SEED"):  # when set
+        kwargs["seed"] = int(os.environ["SCHURWIN_SEED"])
     return getattr(verify, name)(ctx, **kwargs)
 
 

@@ -3,7 +3,8 @@ one home of the exact rules other modules share: `_dotted_weyl`, Bott's
 dotted Weyl action, which also straightens Schur weights; `_translated`, the
 translation the LR products take; `_canonical`, the label rule every generator
 is named by; `_bareiss`, the integer determinant (cofactor expansion up to 3 x 3,
-fraction-free elimination beyond), which leaves its argument as it found it.
+fraction-free elimination beyond), which leaves its argument as it found it; `_refuse_non_ints`,
+which `Context` and the `verify` suites apply to their ints.
 
 `Partition(...)`, `check_weight` and `canonicalize` validate their input; `Partition._trusted`,
 `_label` and `_canonical` trust it, so they take only the library's own tuples.
@@ -30,13 +31,11 @@ def _strip(key: tuple[int, ...]) -> tuple[int, ...]:
     return key[:n]
 
 
-def _normalized(parts) -> tuple[int, ...]:
-    out = tuple(map(int, map(index, parts)))  # a float or Fraction raises TypeError
-    if not all(map(ge, out, out[1:])):
-        raise ShapeError(f"parts not weakly decreasing: {list(out)}")
-    if out and out[-1] < 0:
-        raise ShapeError(f"negative part in partition: {list(out)}")
-    return _strip(out)
+def _refuse_non_ints(**counts) -> None:
+    """ShapeError naming the first of `counts` that is not an int, a bool included."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ShapeError(f"{name} must be an int, not {value!r}")
 
 
 class Partition:
@@ -49,7 +48,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        object.__setattr__(self, "parts", _normalized(parts))
+        if (w := check_weight(parts)) and w[-1] < 0:
+            raise ShapeError(f"negative part in partition: {list(w)}")
+        object.__setattr__(self, "parts", _strip(w))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -216,6 +217,7 @@ class Context(_ContextFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
     def __new__(cls, d: int, r: int):
+        _refuse_non_ints(d=d, r=r)
         if d < 1:
             raise ShapeError(f"d must be a positive integer, got {d}")
         if not 0 <= r <= d:

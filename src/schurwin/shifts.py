@@ -16,7 +16,8 @@ rows (`_image_rows`) once per call, each row named by `_canonical`; an image che
 caller's generator. W_k is W_0 twisted by det^k, listed in the same order, and the twist
 commutes with the shift, so every unit step M_k,k∓1 is one matrix U per direction
 (`_unit_step`) and M_kl is a power of it: det-conjugation holds by construction. A caller's
-`k_matrix` memo keeps one table per Context, each power U^j under (downward, j).
+`k_matrix` memo keeps one table per Context, each power U^j under (downward, j), the identity
+M_kk = U^0 too, so one memo holds one identity however many k it is asked for.
 """
 
 from __future__ import annotations
@@ -202,14 +203,10 @@ class KMatrix(NamedTuple):
         return int_determinant(self.entries)
 
     def is_identity(self) -> bool:
-        e = self.entries
-        return all(tuple(row) == one for row, one in zip(e, _identity_rows(len(e))))
-
-
-def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The n x n identity's rows, each a slice of one zero-row template with a 1 in its middle."""
-    template = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-    return tuple(template[n - 1 - i:2 * n - 1 - i] for i in range(n))
+        """Each of the n rows in place: length n, a 1 on the diagonal and n - 1 zeros."""
+        n = len(e := self.entries)
+        return all(len(row) == n and row[i] == 1 and row.count(0) == n - 1
+                   for i, row in enumerate(e))
 
 
 def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
@@ -266,19 +263,18 @@ def int_determinant(rows) -> int:
 
 def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     """K-class matrix M_kl = U^|l - k|, U the unit step (`_unit_step`) in l's direction. The
-    caller owns `memo`, if given; its table `memo[ctx]` keeps each power U^j under (downward, j),
+    caller owns `memo`, if given; its table `memo[ctx]` keeps each power U^j under (downward, j):
+    U^0 the identity, under (False, 0) and only once some k -> k is asked for, U^1 = U and
     U^j = U^(j-1) @ U, and a call resumes from the highest power it holds. Past MATRIX_LIMIT
-    generators: ShapeError, before any image; k -> k: the identity."""
+    generators: ShapeError, before any image."""
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
-    if from_k == to_k:
-        return KMatrix(ctx, from_k, to_k, _identity_rows(n))
     powers, down = ({} if memo is None else memo).setdefault(ctx, {}), to_k < from_k
-    if (down, 1) not in powers:
-        powers[down, 1] = _unit_step(ctx, down)
-    for j in range(2, abs(to_k - from_k) + 1):
+    for j in range(from_k != to_k, abs(to_k - from_k) + 1):
         if (down, j) not in powers:
-            powers[down, j] = _mat_mul(powers[down, j - 1], powers[down, 1])
+            powers[down, j] = (_mat_mul(powers[down, j - 1], powers[down, 1]) if j > 1
+                               else _unit_step(ctx, down) if j
+                               else tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
     return KMatrix(ctx, from_k, to_k, powers[down, abs(to_k - from_k)])
 
 

@@ -30,7 +30,7 @@ def _pad(key: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 class SchurExpansion:
-    """Integer linear combination of Schur functions keyed by dominant weights.
+    """Integer combination of Schur functions: `terms` is a dict {dominant weight: coefficient}.
 
     `rank` is the number of variables. Keys needing more than `rank` nonzero
     rows vanish identically there and are dropped on insertion; rank=None
@@ -45,8 +45,7 @@ class SchurExpansion:
     def __init__(self, terms=None, rank: int | None = None):
         data: dict[tuple[int, ...], int] = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
+            for key, coeff in terms.items():
                 key = _strip(check_weight(key))
                 if key and key[-1] < 0 and rank is None:
                     raise ShapeError(f"weight {list(key)} needs a finite rank")

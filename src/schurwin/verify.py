@@ -21,7 +21,7 @@ from operator import mul
 
 from .bott import HomogeneousWeight, euler_character, hom_sweep
 from .emit import format_complex, format_generator, sequence_text, staircase_text, windows_text
-from .partitions import Context, Partition, ShapeError, _bareiss, box_partitions
+from .partitions import Context, Partition, ShapeError, _bareiss, _refuse_non_ints, box_partitions
 from .shifts import cotwist_shift_amount, k_matrix, shift_down_generator
 from .staircase import (
     StaircaseStep,
@@ -108,13 +108,6 @@ def _refuse_past_work_limit(ctx: Context, samples: int, staircases: int | None) 
         if work > WORK_LIMIT:
             raise ShapeError(f"localization needs {work:,} term evaluations, "
                              f"over WORK_LIMIT={WORK_LIMIT:,}")
-
-
-def _refuse_non_ints(**counts) -> None:
-    """ShapeError naming the first of `counts` that is not an int, a bool included."""
-    for name, value in counts.items():
-        if type(value) is not int:
-            raise ShapeError(f"{name} must be an int, not {value!r}")
 
 
 def sample_point(rng: random.Random, d: int) -> tuple[Fraction, ...]:
@@ -434,11 +427,12 @@ def verify_relations(ctx: Context, k_range=range(-2, 3)) -> VerificationReport:
     `general_shift`, which twists at each level, check the det twist itself.
     """
     t0 = time.perf_counter()
-    ks, memo = sorted(k_range), {}
+    ks, memo = list(k_range), {}
     if not ks:
         raise ShapeError("k_range names no window")
     if not all(type(k) is int for k in ks):
         raise ShapeError(f"k_range names a window by a non-int: {ks}")
+    ks.sort()
     if len(set(ks)) < len(ks):
         raise ShapeError(f"k_range repeats a window: {ks}")
     mats = {(k, l): k_matrix(ctx, k, l, memo) for k in ks for l in ks}

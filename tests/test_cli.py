@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -446,10 +447,40 @@ def test_output_matrix_digest(capsys):
 
 
 def test_version_flag(capsys):
+    # the version lives in pyproject.toml and in `schurwin.__version__`: they must agree
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyproject.read_text(encoding="utf-8").split("[project]", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1)
     code = main(["--version"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.startswith("schurwin ")
+    assert out == f"schurwin {version}\n"
+
+
+@pytest.mark.parametrize("argv, env, kwargs", [
+    ((), None, {}), (("--seed", "7"), None, {"seed": 7}), ((), "17", {"seed": 17}),
+    (("--seed", "7"), "17", {"seed": 7}), (("--samples", "2"), None, {"samples": 2}),
+    (("--delta", "1"), None, {"delta": (1,)}),
+])
+def test_exactness_passes_only_what_the_user_set(capsys, monkeypatch, argv, env, kwargs):
+    # the CLI restates none of `verify_localization`'s defaults
+    import schurwin.verify
+    from schurwin.verify import VerificationReport
+
+    got = []
+
+    def record(ctx, **kw):
+        got.append(kw)
+        return VerificationReport("localization", {}, passed=True)
+
+    monkeypatch.setattr(schurwin.verify, "verify_localization", record)
+    if env is None:
+        monkeypatch.delenv("SCHURWIN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SCHURWIN_SEED", env)
+    assert main(["verify", "exactness", "--d", "3", "--r", "1", *argv]) == 0
+    capsys.readouterr()
+    assert got == [kwargs]
 
 
 def test_seed_env_fallback(capsys, monkeypatch):

@@ -185,6 +185,17 @@ def test_context_validation():
     assert ctx.staircase_length == 5
 
 
+@pytest.mark.parametrize("d, r, name", [
+    (4.0, 2, "d"), (True, 1, "d"), (4, 2.0, "r"), ("4", 2, "d"), (4, False, "r"),
+])
+def test_context_refuses_a_d_or_r_that_is_not_an_int(d, r, name):
+    # (4.0, 2) and (4, 2.0) failed later inside `comb`; (True, 1) reported "d": true
+    with pytest.raises(ShapeError, match=f"^{name} must be an int, not "):
+        Context(d, r)
+    with pytest.raises(ShapeError, match=f"^{name} must be an int, not "):
+        Context(4, 2)._replace(d=d, r=r)
+
+
 def test_weight_helpers():
     assert check_weight((3, 1, -2)) == (3, 1, -2)
     with pytest.raises(ShapeError):
@@ -234,12 +245,13 @@ def test_generator_label_weight_roundtrip():
 
 
 def test_shared_rules_have_one_home():
-    from schurwin import bott, partitions, shifts, symfunc
+    from schurwin import bott, partitions, shifts, symfunc, verify
 
     assert bott._dotted_weyl is symfunc._dotted_weyl is partitions._dotted_weyl
     assert bott._translated is symfunc._translated is partitions._translated
     assert shifts._bareiss is symfunc._bareiss is partitions._bareiss
-    for name in ("_dotted_weyl", "_translated", "_bareiss"):
+    assert verify._refuse_non_ints is partitions._refuse_non_ints
+    for name in ("_dotted_weyl", "_translated", "_bareiss", "_refuse_non_ints"):
         assert getattr(partitions, name).__module__ == "schurwin.partitions"
 
 

@@ -848,4 +848,59 @@ def test_k_matrix_memo_resumes_the_longest_fold(monkeypatch, d, r):
     for k, l in pairs:
         assert k_matrix(ctx, k, l, memo) == fresh[(k, l)], (k, l)
     assert count[0] == len({(l < k, abs(k - l)) for k, l in pairs if abs(k - l) >= 2}) == 10
-    assert set(memo[ctx]) == {(down, j) for down in (True, False) for j in range(1, 7)}
+    # the pairs include k -> k, so the memo also holds U^0, the identity, under (False, 0)
+    powers = memo[ctx]
+    assert set(powers) == {(down, j) for down in (True, False) for j in range(1, 7)} | {(False, 0)}
+    identity = powers[False, 0]
+    assert [e == identity for e in powers.values()].count(True) == 1
+    assert all(k_matrix(ctx, k, k, memo).entries is identity for k in ks)
+
+
+def test_k_matrix_keeps_one_identity_per_memo(monkeypatch):
+    # M_kk = U^0 for every k: through one memo one entries object, listing no window; a
+    # k != l call stores no power 0
+    listed = count_windows(monkeypatch)
+    ctx, memo, ks = Context(6, 3), {}, range(-3, 4)
+    ids = [k_matrix(ctx, k, k, memo) for k in ks]
+    assert listed == [] and list(memo[ctx]) == [(False, 0)]
+    assert [(m.from_k, m.to_k) for m in ids] == [(k, k) for k in ks]
+    assert all(m.entries is ids[0].entries for m in ids) and ids[0].is_identity()
+    other = {}
+    k_matrix(ctx, 2, -2, other)
+    assert sorted(other[ctx]) == [(True, j) for j in range(1, 5)]
+    assert k_matrix(ctx, 1, 1, other).entries is other[ctx][False, 0]
+    assert ids[0].entries == other[ctx][False, 0]
+
+
+def dense_is_identity(rows):
+    """The definition: row i equals the i-th unit vector of length n = len(rows)."""
+    n = len(rows)
+    return all(tuple(row) == tuple(int(i == j) for j in range(n)) for i, row in enumerate(rows))
+
+
+IDENTITY_EDGE_CASES = [
+    (), ((1,),), ((0,),), ((2,),), ((-1,),),
+    ([1, 0], [0, 1]), [[1, 0], [0, 1]], ([1, 0], [0, 2]),  # rows as lists
+    ((1, 0), (0, 2)), ((2, 0), (0, 1)),  # a 2 on the diagonal
+    ((1, 1), (0, 1)), ((1, 0, 0), (0, 1, 0), (1, 0, 1)), ((1, 0, -1), (0, 1, 0), (0, 0, 1)),
+    ((0, 1), (1, 0)), ((1, 0), (0, 0)),
+    ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1)), ((1, 0), (0, 1), (0, 0)), ((1, 0), (0, 1, 0)),
+    ((1, 0), (0,)), ((1, 0, 0), (0, 1)),  # non-square rows
+    ((True, 0), (0, True)), ((1, 0.0), (0.0, 1)),  # equal to 1 and 0 under ==
+]
+
+
+def test_is_identity_agrees_with_the_dense_definition():
+    ctx, rng = Context(3, 1), random.Random(39)
+    cases = list(IDENTITY_EDGE_CASES)
+    for n in range(5):
+        for _ in range(60):
+            cases.append(tuple(tuple(rng.choice((0, 0, 1, -1)) for _ in range(n)) for _ in range(n)))
+        for i, j in product(range(n), repeat=2):  # the identity with one entry moved
+            rows = [[int(a == b) for b in range(n)] for a in range(n)]
+            rows[i][j] = rng.choice((0, 2, -1)) if i == j else rng.choice((1, -1))
+            cases.append(tuple(map(tuple, rows)))
+        cases.append(tuple(tuple(int(a == b) for b in range(n)) for a in range(n)))
+    for rows in cases:
+        assert KMatrix(ctx, 0, 0, rows).is_identity() == dense_is_identity(rows), rows
+    assert sum(dense_is_identity(rows) for rows in cases) >= 8

@@ -497,9 +497,12 @@ def test_relations_refuse_a_repeated_k(monkeypatch, k_range):
     assert built == []
 
 
-@pytest.mark.parametrize("k_range", [[True, 2], [0, False], [0.5, 1.5], [0, 2.0]])
+@pytest.mark.parametrize(
+    "k_range", [[True, 2], [0, False], [0.5, 1.5], [0, 2.0], [0, "1"], [0, None]]
+)
 def test_relations_refuse_a_k_that_is_not_an_int(monkeypatch, k_range):
-    # [True, 2] passed as kRange [true, 2]; [0.5, 1.5] failed inside `k_matrix`
+    # [True, 2] passed as kRange [true, 2]; [0.5, 1.5] failed inside `k_matrix`; [0, "1"] and
+    # [0, None] raised a bare TypeError from `sorted`
     built = []
     monkeypatch.setattr(verify, "k_matrix", lambda *args: built.append(args))
     with pytest.raises(ShapeError, match="k_range names a window by a non-int"):
