@@ -56,7 +56,7 @@ class Partition:
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         """Build from stripped, weakly decreasing non-negative ints, unchecked."""
         self = cls.__new__(cls)
-        cls.parts.__set__(self, parts)  # the slot's own setter, past `__setattr__`
+        _set_parts(self, parts)
         return self
 
     def __setattr__(self, name, value):
@@ -120,6 +120,9 @@ class Partition:
         if len(self.parts) > n:
             raise ShapeError(f"partition {list(self.parts)} has more than {n} parts")
         return self.parts + (0,) * (n - len(self.parts))
+
+
+_set_parts = Partition.parts.__set__  # the slot's own setter, past `__setattr__`: `_trusted`'s
 
 
 def check_weight(entries, length: int | None = None) -> tuple[int, ...]:

@@ -13,8 +13,10 @@ The trivialization det V ~ C is applied by dropping wedge^d V factors unless
 `keep_det` asks to retain them for display.
 `shift_*_generator` are `general_shift` over one step, which reads each image from staircase
 rows (`_image_rows`) once per call, each row named by `_canonical`; an image checks only the
-caller's generator. W_k is W_0 twisted by det^k, listed in the same order, and the twist
-commutes with the shift, so every unit step M_k,k∓1 is one matrix U per direction
+caller's generator. `general_shift` makes its output in one pass, with no second pass to
+label the terms: its last level appends each `Term` as it substitutes, making a node's label
+the first time that level reaches it. W_k is W_0 twisted by det^k, listed in the same order, and
+the twist commutes with the shift, so every unit step M_k,k∓1 is one matrix U per direction
 (`_unit_step`) and M_kl is a power of it: det-conjugation holds by construction. A caller's
 `k_matrix` memo keeps one table per Context, each power U^j under (downward, j), the identity
 M_kk = U^0 too, so one memo holds one identity however many k it is asked for.
@@ -27,7 +29,9 @@ from itertools import compress
 from math import comb
 from typing import NamedTuple
 
-from .partitions import Context, GeneratorLabel, Partition, ShapeError, _bareiss, _canonical, _strip
+from .partitions import (
+    Context, GeneratorLabel, Partition, ShapeError, _bareiss, _canonical, _refuse_non_ints, _strip
+)
 from .staircase import base_from_top, staircase_diagrams
 from .windows import MATRIX_LIMIT, _in_box, enumerate_window, in_window
 
@@ -117,24 +121,30 @@ def general_shift(
     step src -> dst, (src, dst) = (1, 0) or (0, 1), twisted by det^(k - src). A term is
     (degree, node, ext, copies), a node one per distinct raw (parts, det) label less that
     twist. A node (all lie in W_src) in W_dst is its own image; any other reads its
-    `_image_rows` once per call. Only the result's nodes get a `GeneratorLabel`, one each.
+    `_image_rows` once per call. The last level appends the result's `Term`s as it substitutes;
+    a node gets its `GeneratorLabel` the first time that level reaches it, so only the result's
+    nodes get one, one each. A from_k or to_k that is not an int: ShapeError, before any window.
     """
+    _refuse_non_ints(from_k=from_k, to_k=to_k)
     if not in_window(g, from_k, ctx):
         raise ShapeError(f"generator not in W_{from_k}: {g}")
+    if from_k == to_k:  # no level: g is its own image
+        return TermComplex((Term(0, g),))
     honest = abs(from_k - to_k) <= 1
-    if not ctx.r and from_k != to_k:
+    if not ctx.r:
         # rank zero: every window is generated by the trivial bundle, marked by W_to
         return TermComplex((Term(0, GeneratorLabel(Partition(()), to_k)),), honest)
     step = -1 if to_k < from_k else 1
     src, dst = (1, 0) if step < 0 else (0, 1)
+    wedge = [comb(ctx.d, s) for s in range(ctx.d + 1)]  # C(d, s), for the inherited-wedge fold
     nodes: dict = {}  # (parts, det) -> [(parts, det), its image or None, label in W_to or None]
 
     def node(parts, m):
         key = (parts, m)
         return nodes.get(key) or nodes.setdefault(key, [key, None, None])
 
-    terms = [(0, node(g.delta.parts, g.det_power - from_k + src), 0, 1)]
-    for _ in range(from_k, to_k, step):
+    terms, new = [(0, node(g.delta.parts, g.det_power - from_k + src), 0, 1)], tuple.__new__
+    for level in range(abs(to_k - from_k), 0, -1):  # level 1 is the last
         new_terms = []
         for degree, nd, ext_t, copies_t in terms:
             if nd[1] is None:  # an image's nodes are relative to the next step's twist
@@ -151,16 +161,19 @@ def general_shift(
                 elif ext_t:
                     # two wedge factors on one term: fold the inherited one
                     # into the copy count, keeping the K-class intact
-                    copies *= comb(ctx.d, ext_t)
-                new_terms.append((degree + u_degree, u_node, ext, copies))
+                    copies *= wedge[ext_t]
+                if level > 1:
+                    new_terms.append((degree + u_degree, u_node, ext, copies))
+                    continue
+                if (label := u_node[2]) is None:  # first reached on the last level
+                    parts, m = u_node[0]
+                    label = u_node[2] = GeneratorLabel(Partition._trusted(parts), m + to_k - src)
+                new_terms.append(new(Term, (degree + u_degree, label, ext, copies)))
             if len(new_terms) > SKELETON_LIMIT:
                 raise ShapeError(f"a level of the W_{from_k} -> W_{to_k} skeleton has "
                                  f"over SKELETON_LIMIT={SKELETON_LIMIT:,} terms")
         terms = new_terms
     terms.sort(key=operator.itemgetter(0))
-    for parts, m in {nd[0] for _, nd, _, _ in terms}:
-        nodes[parts, m][2] = GeneratorLabel(Partition._trusted(parts), m + to_k - src)
-    terms = [tuple.__new__(Term, (deg, nd[2], ext, copies)) for deg, nd, ext, copies in terms]
     return TermComplex(tuple(terms), honest)
 
 
@@ -266,7 +279,8 @@ def k_matrix(ctx: Context, from_k: int, to_k: int, memo=None) -> KMatrix:
     caller owns `memo`, if given; its table `memo[ctx]` keeps each power U^j under (downward, j):
     U^0 the identity, under (False, 0) and only once some k -> k is asked for, U^1 = U and
     U^j = U^(j-1) @ U, and a call resumes from the highest power it holds. Past MATRIX_LIMIT
-    generators: ShapeError, before any image."""
+    generators: ShapeError, before any image; a from_k or to_k that is not an int: ShapeError."""
+    _refuse_non_ints(from_k=from_k, to_k=to_k)
     if (n := comb(ctx.d, ctx.r)) > MATRIX_LIMIT:
         raise ShapeError(f"a K-matrix on {n:,} generators, over MATRIX_LIMIT={MATRIX_LIMIT:,}")
     powers, down = ({} if memo is None else memo).setdefault(ctx, {}), to_k < from_k

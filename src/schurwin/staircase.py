@@ -58,11 +58,12 @@ def staircase_diagrams(ctx: Context, delta) -> StaircaseData:
     bare tuple over a trusted row.
     """
     delta = check_admissible_base(ctx, delta)
-    r, new, trusted = ctx.r, tuple.__new__, Partition._trusted
-    base, c = delta.pad(r - 1), len(delta)
+    (d, r), new, trusted = ctx, tuple.__new__, Partition._trusted
+    c = len(parts := delta.parts)
+    base = parts + (0,) * (r - 1 - c)
     pushed = tuple([x + 1 for x in base])
     steps = []
-    for k in range(1, ctx.staircase_length + 1):
+    for k in range(1, d - r + 2):
         while c and base[c - 1] < k:
             c -= 1  # c is col_k: the number of base rows of length >= k
         steps.append(new(StaircaseStep, (trusted(base[:c] + (k,) + pushed[c:]), r + k - c - 1)))

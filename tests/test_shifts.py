@@ -523,9 +523,12 @@ def test_general_shift_equals_the_node_reference(d):
 
 @pytest.mark.parametrize("from_k, to_k", [(2, -2), (-2, 2)])
 def test_general_shift_bench_sweeps_equal_the_node_reference(from_k, to_k):
-    ctx = Context(8, 4)
-    for g in enumerate_window(ctx, from_k):
-        assert general_shift(ctx, from_k, to_k, g) == node_shift(ctx, from_k, to_k, g, False), g
+    # the bench's largest cells; keep_det makes the last level fold inherited wedge^d V factors
+    for (d, r), keep_det in product([(8, 4), (8, 3)], (False, True)):
+        ctx = Context(d, r)
+        for g in enumerate_window(ctx, from_k):
+            got = general_shift(ctx, from_k, to_k, g, keep_det)
+            assert got == node_shift(ctx, from_k, to_k, g, keep_det), (d, r, g, keep_det)
 
 
 def count_generator_shifts(monkeypatch):
@@ -725,6 +728,25 @@ def test_general_shift_rejects_wrong_window():
     ctx = Context(4, 2)
     with pytest.raises(ShapeError):
         general_shift(ctx, 0, 1, canonicalize((3, 3)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("to_k", True), ("to_k", 1.5), ("to_k", 1.0), ("from_k", False), ("from_k", Fraction(0)),
+])
+def test_shifts_refuse_a_non_int_window_index(monkeypatch, name, value):
+    # a bool is refused too, not read as 0 or 1, and before any window or image
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window or image was built")
+
+    for built in ("enumerate_window", "in_window", "_image_rows", "_unit_step"):
+        monkeypatch.setattr(shifts, built, refuse)
+    ctx, g, memo = Context(4, 2), canonicalize((0, 0)), {}
+    ks = {"from_k": 0, "to_k": 1, name: value}
+    for call in (lambda: k_matrix(ctx, **ks, memo=memo), lambda: general_shift(ctx, g=g, **ks)):
+        with pytest.raises(ShapeError) as info:
+            call()
+        assert str(info.value) == f"{name} must be an int, not {value!r}"
+    assert memo == {}
 
 
 def test_k_class_outside_basis_is_an_error():

@@ -162,7 +162,8 @@ def test_out_of_window_image_validates_only_the_callers_generator(monkeypatch, d
 
 
 class Uses(ast.NodeVisitor):
-    """(enclosing function, what) for each use of `Partition._trusted`, `_label` or `_canonical`."""
+    """(enclosing function, what) for each use of `Partition._trusted`, `_label`, `_canonical`,
+    `_set_parts` or a slot's `__set__`."""
 
     def __init__(self, source):
         self.source, self.scope, self.found = source, ["<module>"], []
@@ -173,6 +174,8 @@ class Uses(ast.NodeVisitor):
         self.scope.pop()
 
     def visit_Attribute(self, node):
+        if node.attr == "__set__":  # a slot's setter, past `__setattr__`
+            self.found.append((self.scope[-1], ast.get_source_segment(self.source, node)))
         # SchurExpansion._trusted is the other unchecked constructor; it takes
         # expansion terms, not partitions
         if node.attr == "_trusted" and getattr(node.value, "id", None) != "SchurExpansion":
@@ -180,7 +183,8 @@ class Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node):
-        if node.id in ("_label", "_canonical"):
+        # `_set_parts`, `Partition.parts.__set__` bound once, is `_trusted`'s setter
+        if node.id in ("_label", "_canonical", "_set_parts") and isinstance(node.ctx, ast.Load):
             self.found.append((self.scope[-1], node.id))
 
 
@@ -197,8 +201,10 @@ def test_unchecked_constructors_are_reached_only_from_library_built_tuples():
         found += [(path.name, *use) for use in uses.found]
     found.sort()
     assert found == [
+        ("partitions.py", "<module>", "Partition.parts.__set__"),
         ("partitions.py", "_label", "Partition._trusted"),
         ("partitions.py", "_label", "_canonical"),
+        ("partitions.py", "_trusted", "_set_parts"),
         ("partitions.py", "box_partitions", "Partition._trusted"),
         ("partitions.py", "canonicalize", "Partition._trusted"),
         ("partitions.py", "canonicalize", "_canonical"),
